@@ -6,10 +6,6 @@ writes that JSON to a file regardless of the console format.  Exit
 codes: 0 success or verification pass, 1 verification failure
 (a counterexample was found), 2 usage error.  All errors go to stderr
 with the prefix ``error:``.
-
-Thread fan-out for the searches can be forced with the environment
-variable ``SCHUBCALC_THREADS``; output is identical for any thread
-count.
 """
 
 from __future__ import annotations
@@ -337,6 +333,9 @@ def main(argv=None) -> int:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except RuntimeError as err:  # cross-validation found the two routes disagreeing
+        print(f"error: {err}", file=sys.stderr)
+        return 1
     twin = json.dumps(payload, indent=2, sort_keys=True)
     if args.format == "json":
         sys.stdout.write(twin + "\n")

@@ -5,212 +5,104 @@ symmetric polynomials, on a code path deliberately disjoint from the
 tableau backtracking in :mod:`schubcalc.chow`: it knows nothing about
 skew tableaux, lattice words or boxes.
 
-The expansion of ``s_lam * s_mu`` in ``m`` variables is computed as
-follows.
+The expansion of ``s_lam * s_mu`` in ``m`` variables is computed in two
+steps, in exact integer arithmetic throughout.
 
-1. Enumerate the monomials of each factor.  A Schur polynomial is the
-   generating function of semistandard tableaux, so its monomial
-   multiplicities are obtained by peeling the tableau into horizontal
-   strips, one strip per variable: ``s_shape(x_1..x_m)`` is the sum over
-   chains ``0 = t_0 <= t_1 <= ... <= t_m = shape`` (consecutive
-   quotients horizontal strips) of ``prod x_v^(|t_v| - |t_v-1|)``.  The
-   chain walk merges equal weights as it goes, so multiplicities are
-   accumulated in bulk instead of listing tableaux one by one.
-2. Convolve the two monomial tables, keeping only monomials with weakly
-   decreasing exponents.  A symmetric polynomial is determined by these
-   dominant monomials, and the lex-leading monomial of a symmetric
-   polynomial is always dominant, so nothing is lost.
-3. Peel off Schur polynomials by repeated leading-monomial elimination:
-   read the lex-largest remaining monomial ``nu``, record its
-   coefficient, subtract that multiple of the dominant monomials of
-   ``s_nu``, repeat.
+1. Kostka row of the smaller factor ``mu``.  A Schur polynomial is the
+   generating function of semistandard tableaux, so the coefficient of
+   ``x^alpha`` in ``s_mu`` is the number of tableaux of shape ``mu`` and
+   content ``alpha``.  Peeling a tableau into horizontal strips, one
+   strip per variable, makes it a chain ``0 = t_0 <= ... <= t_m = mu``
+   with ``alpha_v = |t_v| - |t_v-1|``.  ``s_mu`` is symmetric, so that
+   coefficient depends only on ``sort(alpha)`` and equals the Kostka
+   number ``K_{mu, sort(alpha)}``; it suffices to walk the chains whose
+   strip sizes never increase, which yields exactly the dominant
+   contents (Fulton, *Young Tableaux*, §2).
+2. Signed sum over alternants (Brauer-Klimyk).  With ``delta = (m-1,
+   ..., 1, 0)`` and ``a_gamma`` the antisymmetrization of ``x^gamma``,
+   ``s_lam = a_{lam+delta} / a_delta``.  Multiplying by the symmetric
+   ``s_mu = sum_alpha K_{mu,sort(alpha)} x^alpha`` and symmetrizing term
+   by term gives
 
-The convolution in step 2 is the hot spot and is vectorized with numpy
-on 64-bit integers; a bound check falls back to exact pure-Python
-dictionaries before any intermediate could overflow, so results are
-always exact.
+       s_lam * s_mu = sum_alpha K_{mu,sort(alpha)} a_{lam+alpha+delta} / a_delta,
 
-The expansion is complete for every shape with at most ``m`` rows;
-shapes needing more rows vanish identically in ``m`` variables.
+   summed over every exponent vector ``alpha`` of ``s_mu``, that is,
+   every distinct rearrangement of every dominant content.  An
+   alternant with a repeated exponent is zero; otherwise sorting
+   ``v = lam+alpha+delta`` decreasingly costs the sign of the sorting
+   permutation and gives ``s_nu`` with ``nu = sort(v) - delta``
+   (Fulton-Harris, *Representation Theory*, §25).
+
+Both steps are identities of polynomials in ``m`` variables, so the
+expansion is exact and complete for every shape with at most ``m``
+rows; shapes needing more rows vanish identically in ``m`` variables.
+Cancelling terms only ever meet in the final dictionary, so no
+intermediate table is truncated or bounded.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import product as _iproduct
-
-import numpy as np
 
 from schubcalc.chow import _reduced
 
 
-@lru_cache(maxsize=512)
-def _ssyt_weight_arrays(shape: tuple[int, ...], nvars: int):
-    """Monomial table of ``s_shape`` in ``nvars`` variables.
-
-    Returns ``(digits, counts)``: a ``(size, nvars)`` uint8 matrix of
-    exponent vectors (deterministically sorted) and the int64 vector of
-    multiplicities.  Values placed in the tableau are the variable
-    indices; variable v occupies a horizontal strip, which gives the
-    chain recursion over strips used here.
-    """
-    nrows = len(shape)
-    if shape and shape[0] > 255:
-        raise ValueError(f"shape {shape} too wide for the uint8 exponent encoding")
-    if nrows == 0:
-        weights = {(0,) * nvars: 1}
-    elif nrows > nvars:
-        weights = {}
-    else:
-        states: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {
-            (0,) * nrows: {(): 1}
-        }
-        for v in range(1, nvars + 1):
-            rem = nvars - v
-            new_states: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-            for eta, wdict in states.items():
-                ranges = []
-                feasible = True
-                for i in range(nrows):
-                    lo = eta[i]
-                    if i + rem < nrows and shape[i + rem] > lo:
-                        lo = shape[i + rem]  # must stay reachable in rem more strips
-                    hi = shape[i] if i == 0 else min(shape[i], eta[i - 1])
-                    if lo > hi:
-                        feasible = False
-                        break
-                    ranges.append(range(lo, hi + 1))
-                if not feasible:
-                    continue
-                base = sum(eta)
-                for tau in _iproduct(*ranges):
-                    e = sum(tau) - base
-                    tdict = new_states.setdefault(tau, {})
-                    for w, c in wdict.items():
-                        key = w + (e,)
-                        tdict[key] = tdict.get(key, 0) + c
-            states = new_states
-        weights = states.get(shape, {})
-    keys = sorted(weights)
-    digits = np.array(keys, dtype=np.uint8).reshape(len(keys), nvars)
-    counts = np.array([weights[w] for w in keys], dtype=np.int64)
-    return digits, counts
-
-
 @lru_cache(maxsize=None)
 def _kostka_row(shape: tuple[int, ...], nvars: int) -> tuple:
-    """Dominant monomials of ``s_shape``: pairs (partition weight, Kostka number)."""
-    digits, counts = _ssyt_weight_arrays(shape, nvars)
-    if len(counts) == 0:
-        return ()
-    keep = np.all(digits[:, :-1] >= digits[:, 1:], axis=1) if nvars > 1 else np.ones(
-        len(counts), dtype=bool
-    )
-    return tuple(
-        (tuple(int(x) for x in digits[i]), int(counts[i]))
-        for i in np.flatnonzero(keep)
-    )
+    """Dominant contents of ``s_shape`` in ``nvars`` variables.
 
-
-@lru_cache(maxsize=4096)
-def _bounded_partitions(
-    total: int, max_len: int, max_part: int
-) -> tuple[tuple[int, ...], ...]:
-    """All partitions of ``total`` with at most max_len parts, each <= max_part."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: list[int], left: int, cap: int, slots: int) -> None:
-        if left == 0:
-            out.append(tuple(prefix))
-            return
-        if slots == 0 or cap * slots < left:
-            return
-        for v in range(min(cap, left), 0, -1):
-            prefix.append(v)
-            rec(prefix, left - v, v, slots - 1)
-            prefix.pop()
-
-    rec([], total, max_part, max_len)
-    return tuple(out)
-
-
-def _dominant_product_py(lam, mu, nvars, padded_cands):
-    """Exact fallback convolution on plain dictionaries."""
-    da, ca = _ssyt_weight_arrays(lam, nvars)
-    db, cb = _ssyt_weight_arrays(mu, nvars)
-    big = {tuple(int(x) for x in da[i]): int(ca[i]) for i in range(len(ca))}
-    small = [(tuple(int(x) for x in db[i]), int(cb[i])) for i in range(len(cb))]
-    out: dict[tuple[int, ...], int] = {}
-    for cand in padded_cands:
-        tot = 0
-        for w, c in small:
-            rest = tuple(x - y for x, y in zip(cand, w))
-            if min(rest, default=0) < 0:
-                continue
-            tot += c * big.get(rest, 0)
-        if tot:
-            out[cand] = tot
-    return out
-
-
-def _dominant_product(
-    lam: tuple[int, ...], mu: tuple[int, ...], nvars: int
-) -> dict[tuple[int, ...], int]:
-    """Dominant monomials of ``s_lam * s_mu`` in ``nvars`` variables.
-
-    Keys are exponent vectors padded to length nvars; every key is
-    weakly decreasing.
+    Returns pairs ``(weight, Kostka number)``; each weight is a weakly
+    decreasing exponent vector of length ``nvars``.  Values placed in
+    the tableau are the variable indices; variable v occupies a
+    horizontal strip, which gives the chain recursion over strips used
+    here, restricted to chains with nonincreasing strip sizes.
     """
-    degree = sum(lam) + sum(mu)
-    if degree == 0:
-        return {(0,) * nvars: 1}
-    max_part = (lam[0] if lam else 0) + (mu[0] if mu else 0)
-    cands = _bounded_partitions(degree, nvars, max_part)
-    padded = [p + (0,) * (nvars - len(p)) for p in cands]
-    if not padded:
-        return {}
-
-    base = max_part + 1
-    if base**nvars >= 2**62:
-        return _dominant_product_py(lam, mu, nvars, padded)
-
-    da, ca = _ssyt_weight_arrays(lam, nvars)
-    db, cb = _ssyt_weight_arrays(mu, nvars)
-    if len(ca) == 0 or len(cb) == 0:
-        return {}
-    if len(ca) < len(cb):
-        da, ca, db, cb = db, cb, da, ca
-    if int(ca.max()) * int(cb.max()) * len(cb) >= 2**62:
-        return _dominant_product_py(lam, mu, nvars, padded)
-
-    pow_vec = base ** np.arange(nvars - 1, -1, -1, dtype=np.int64)
-    codes_a = da.astype(np.int64) @ pow_vec
-    order = np.argsort(codes_a, kind="stable")
-    sorted_a = codes_a[order]
-    counts_a = ca[order]
-    codes_b = db.astype(np.int64) @ pow_vec
-
-    cd = np.array(padded, dtype=np.uint8)
-    cand_codes = cd.astype(np.int64) @ pow_vec
-    valid = (cd[:, None, :] >= db[None, :, :]).all(axis=2)
-    diffs = cand_codes[:, None] - codes_b[None, :]
-    flat = diffs.ravel()
-    pos = np.searchsorted(sorted_a, flat)
-    np.clip(pos, 0, len(sorted_a) - 1, out=pos)
-    hit = (sorted_a[pos] == flat) & valid.ravel()
-    vals = np.where(hit, counts_a[pos] * np.broadcast_to(cb, diffs.shape).ravel(), 0)
-    coeffs = vals.reshape(diffs.shape).sum(axis=1)
-
-    out: dict[tuple[int, ...], int] = {}
-    for i, key in enumerate(padded):
-        c = int(coeffs[i])
-        if c:
-            out[key] = c
-    return out
+    nrows = len(shape)
+    if nrows > nvars:
+        return ()
+    total = sum(shape)
+    states: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {
+        (0,) * nrows: {(): 1}
+    }
+    for v in range(1, nvars + 1):
+        rem = nvars - v
+        new_states: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+        for eta, wdict in states.items():
+            ranges = []
+            feasible = True
+            for i in range(nrows):
+                lo = eta[i]
+                if i + rem < nrows and shape[i + rem] > lo:
+                    lo = shape[i + rem]  # must stay reachable in rem more strips
+                hi = shape[i] if i == 0 else min(shape[i], eta[i - 1])
+                if lo > hi:
+                    feasible = False
+                    break
+                ranges.append(range(lo, hi + 1))
+            if not feasible:
+                continue
+            base = sum(eta)
+            for tau in _iproduct(*ranges):
+                size = sum(tau)
+                e = size - base
+                if total - size > rem * e:
+                    continue  # the remaining strips, none longer than e, cannot fill shape
+                tdict = None
+                for w, c in wdict.items():
+                    if w and e > w[-1]:
+                        continue  # strip sizes must not increase
+                    if tdict is None:
+                        tdict = new_states.setdefault(tau, {})
+                    key = w + (e,)
+                    tdict[key] = tdict.get(key, 0) + c
+        states = new_states
+    return tuple(states.get(shape, {}).items())
 
 
 def lr_oracle(lam, mu, num_vars: int) -> dict[tuple[int, ...], int]:
-    """Expand ``s_lam * s_mu`` in the Schur basis via monomial elimination.
+    """Expand ``s_lam * s_mu`` in the Schur basis via the Brauer-Klimyk sum.
 
     Returns the full (untruncated) expansion ``{nu: coefficient}`` with
     reduced partition keys, complete for every nu with at most
@@ -225,23 +117,34 @@ def lr_oracle(lam, mu, num_vars: int) -> dict[tuple[int, ...], int]:
             f"num_vars={num_vars} is too small for shapes {lam} and {mu}; "
             "need at least the number of nonzero parts of each factor"
         )
-    dom = _dominant_product(lam, mu, m)
-    out: dict[tuple[int, ...], int] = {}
-    while dom:
-        nu = max(dom)
-        c = dom.pop(nu)
-        if c == 0:
-            continue
-        red = nu
-        while red and red[-1] == 0:
-            red = red[:-1]
-        out[red] = c
-        for w, kostka in _kostka_row(red, m):
-            if w == nu:
+    if sum(mu) > sum(lam):
+        lam, mu = mu, lam
+    delta = tuple(range(m - 1, -1, -1))
+    shifted = [p + d for p, d in zip(lam + (0,) * (m - len(lam)), delta)]
+    acc: dict[tuple[int, ...], int] = {}
+    placed: list[int] = []  # entries of v chosen so far, ascending
+
+    def place(i: int, parts: list[int], left: list[int], sign: int, kostka: int) -> None:
+        # Put each distinct unused part of the content at position i.
+        if i == m:
+            nu = tuple(x - d for x, d in zip(reversed(placed), delta))
+            acc[nu] = acc.get(nu, 0) + sign * kostka
+            return
+        for j, a in enumerate(parts):
+            if not left[j]:
                 continue
-            left = dom.get(w, 0) - c * kostka
-            if left:
-                dom[w] = left
-            else:
-                dom.pop(w, None)
-    return out
+            x = shifted[i] + a
+            pos = bisect_left(placed, x)
+            if pos < i and placed[pos] == x:
+                continue  # repeated exponent: the alternant is zero
+            # pos earlier entries are smaller than x; each one is an inversion
+            left[j] -= 1
+            placed.insert(pos, x)
+            place(i + 1, parts, left, -sign if pos & 1 else sign, kostka)
+            del placed[pos]
+            left[j] += 1
+
+    for weight, kostka in _kostka_row(mu, m):
+        parts = sorted(set(weight), reverse=True)
+        place(0, parts, [weight.count(a) for a in parts], 1, kostka)
+    return {_reduced(nu): c for nu, c in acc.items() if c}

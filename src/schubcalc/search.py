@@ -22,17 +22,13 @@ Scans use the O(k) Bruhat vanishing test; ``cross_validate`` recomputes
 every product through the Littlewood-Richardson route as well.  Pair
 enumeration is deterministic: partitions are ordered by (weight, parts)
 and unordered pairs are canonicalized with the smaller partition first.
-Optional thread fan-out (``threads`` argument or the SCHUBCALC_THREADS
-environment variable) never changes output order: chunks are collected,
-then sorted.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -130,22 +126,26 @@ class VerificationReport:
         return out
 
 
-def _resolve_threads(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("SCHUBCALC_THREADS")
-    return max(1, int(env)) if env else 1
+def enumerate_zero_pairs(
+    ctx: GrassmannContext, max_codim_sum: int, cross_validate: bool = False
+) -> list[ZeroPair]:
+    """All unordered basis pairs {a, b} with |a|+|b| <= bound and zero product.
 
-
-def _scan_rows(ctx, parts, weights, rows, max_sum, cross_validate) -> list[ZeroPair]:
+    Returns triples ``(a, b, codim_sum)`` with a <= b, sorted by
+    (codim_sum, a, b).  ``cross_validate`` recomputes every scanned
+    product via the LR rule and raises if the two routes ever disagree.
+    """
+    if not 0 <= max_codim_sum <= 2 * ctx.dim:
+        raise ValueError(f"max_codim_sum {max_codim_sum} out of range for {ctx}")
+    parts = box_partitions(ctx)
+    weights = [sum(p) for p in parts]
     k, cols = ctx.k, ctx.cols
     found: list[ZeroPair] = []
-    for i in rows:
-        a = parts[i]
+    for i, a in enumerate(parts):
         wa = weights[i]
         for j in range(i, len(parts)):
             s = wa + weights[j]
-            if s > max_sum:
+            if s > max_codim_sum:
                 break  # weights are nondecreasing along the list
             b = parts[j]
             vanishes = _pair_vanishes_unchecked(a, b, k, cols)
@@ -158,39 +158,6 @@ def _scan_rows(ctx, parts, weights, rows, max_sum, cross_validate) -> list[ZeroP
                     )
             if vanishes:
                 found.append((a, b, s) if a <= b else (b, a, s))
-    return found
-
-
-def enumerate_zero_pairs(
-    ctx: GrassmannContext,
-    max_codim_sum: int,
-    cross_validate: bool = False,
-    threads: int | None = None,
-) -> list[ZeroPair]:
-    """All unordered basis pairs {a, b} with |a|+|b| <= bound and zero product.
-
-    Returns triples ``(a, b, codim_sum)`` with a <= b, sorted by
-    (codim_sum, a, b).  ``cross_validate`` recomputes every scanned
-    product via the LR rule and raises if the two routes ever disagree.
-    """
-    if not 0 <= max_codim_sum <= 2 * ctx.dim:
-        raise ValueError(f"max_codim_sum {max_codim_sum} out of range for {ctx}")
-    parts = box_partitions(ctx)
-    weights = [sum(p) for p in parts]
-    nthreads = _resolve_threads(threads)
-    all_rows = range(len(parts))
-    if nthreads == 1:
-        found = _scan_rows(ctx, parts, weights, all_rows, max_codim_sum, cross_validate)
-    else:
-        chunks = [list(all_rows)[i::nthreads] for i in range(nthreads)]
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            futures = [
-                pool.submit(
-                    _scan_rows, ctx, parts, weights, chunk, max_codim_sum, cross_validate
-                )
-                for chunk in chunks
-            ]
-            found = [hit for f in futures for hit in f.result()]
     found.sort(key=lambda t: (t[2], t[0], t[1]))
     return found
 
@@ -239,26 +206,27 @@ def has_mdpair_of_type(ctx: GrassmannContext, pair_type) -> bool:
     return any(p.pair_type == t for p in md_pairs(ctx))
 
 
-def search_report(
-    ctx: GrassmannContext, cross_validate: bool = False, threads: int | None = None
-) -> SearchReport:
+def _pair_count(ctx: GrassmannContext, max_codim_sum: int) -> int:
+    """Number of unordered basis pairs (self-pairs included) with codim sum <= bound."""
+    cnt = Counter(sum(p) for p in box_partitions(ctx))
+    scanned = 0
+    for wa in cnt:
+        for wb in cnt:
+            if wa < wb and wa + wb <= max_codim_sum:
+                scanned += cnt[wa] * cnt[wb]
+            elif wa == wb and 2 * wa <= max_codim_sum:
+                scanned += cnt[wa] * (cnt[wa] + 1) // 2
+    return scanned
+
+
+def search_report(ctx: GrassmannContext, cross_validate: bool = False) -> SearchReport:
     """Full md-pair search: egd, zero pairs at the critical codimension, timing."""
     start = time.perf_counter()
     egd = compute_egd(ctx)
     limit = egd + 1
-    zero = enumerate_zero_pairs(ctx, limit, cross_validate=cross_validate, threads=threads)
+    zero = enumerate_zero_pairs(ctx, limit, cross_validate=cross_validate)
     pairs = tuple(MdPair(ctx, a, b) for a, b, s in zero if s == limit)
-    weights = [sum(p) for p in box_partitions(ctx)]
-    from collections import Counter
-
-    cnt = Counter(weights)
-    scanned = 0
-    for wa in cnt:
-        for wb in cnt:
-            if wa < wb and wa + wb <= limit:
-                scanned += cnt[wa] * cnt[wb]
-            elif wa == wb and 2 * wa <= limit:
-                scanned += cnt[wa] * (cnt[wa] + 1) // 2
+    scanned = _pair_count(ctx, limit)
     elapsed_ms = int(round((time.perf_counter() - start) * 1000))
     return SearchReport(
         ctx=ctx,
@@ -275,7 +243,7 @@ def _require_interior(ctx: GrassmannContext) -> None:
         raise ValueError(f"claim requires 1 <= k <= n-2, got {ctx}")
 
 
-def verify_thm_md(ctx: GrassmannContext, threads: int | None = None) -> VerificationReport:
+def verify_thm_md(ctx: GrassmannContext) -> VerificationReport:
     """Check: the only vanishing basis pair with codim-sum <= n+1 is {[X_H], [X_p]}.
 
     Scans every unordered basis pair in range, computing the product
@@ -396,7 +364,6 @@ def verify_prop_comp(ctx: GrassmannContext) -> VerificationReport:
 def verify_egd(ctx: GrassmannContext) -> VerificationReport:
     """Check compute_egd(ctx) == n, reporting the scanned certificate space."""
     egd = compute_egd(ctx)
-    report = search_report(ctx)
     counterexamples: tuple = ()
     if egd != ctx.n:
         counterexamples = (
@@ -408,5 +375,5 @@ def verify_egd(ctx: GrassmannContext) -> VerificationReport:
         n=ctx.n,
         status="pass" if not counterexamples else "fail",
         counterexamples=counterexamples,
-        hypothesis_count=report.scanned_pair_count,
+        hypothesis_count=_pair_count(ctx, egd + 1),
     )

@@ -142,6 +142,17 @@ class TestMdPairsCommand:
         )
         assert target.read_text() == out
 
+    def test_cross_validation_disagreement_exits_one(self, capsys, monkeypatch):
+        import schubcalc.search as search
+
+        # Fill the egd memo first, so the stubbed vanishing test cannot poison it.
+        search.compute_egd(search.GrassmannContext(1, 4))
+        monkeypatch.setattr(search, "_pair_vanishes_unchecked", lambda *args: True)
+        code, out, err = run(capsys, "mdpairs", "--k", "1", "--n", "4", "--cross-validate")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: vanishing criterion disagrees with LR product")
+
 
 class TestEgdCommand:
     def test_value(self, capsys):

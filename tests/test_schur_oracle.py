@@ -1,7 +1,13 @@
 """The Schur-polynomial oracle against hand values, a naive reference, and the LR route."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import schubcalc
 from schubcalc import GrassmannContext, box_partitions, lr_coefficient, lr_oracle
 
 
@@ -74,6 +80,10 @@ class TestKnownExpansions:
     def test_s21_times_s1(self):
         assert lr_oracle((2, 1), (1,), 3) == {(3, 1): 1, (2, 2): 1, (2, 1, 1): 1}
 
+    def test_wide_shapes(self):
+        # Exponents past 255: the expansion is exact at any width.
+        assert lr_oracle((300,), (1,), 2) == {(301,): 1, (300, 1): 1}
+
     def test_insufficient_variables_rejected(self):
         with pytest.raises(ValueError):
             lr_oracle((2, 1, 1), (1,), 2)
@@ -101,6 +111,20 @@ class TestAgainstNaiveReference:
         for lam in shapes:
             for mu in [(1,), (1, 1), (2, 1)]:
                 assert lr_oracle(lam, mu, 4) == naive_schur_expand(lam, mu, 4)
+
+    def test_four_row_shapes(self):
+        # Five variables and four-row shapes: terms of opposite sign cancel in the signed sum.
+        shapes = [(1, 1, 1, 1), (2, 1, 1, 1), (2, 2, 1, 1), (3, 2, 1, 1)]
+        for lam in shapes:
+            for mu in [(1,), (1, 1), (2, 1), (1, 1, 1, 1)]:
+                assert lr_oracle(lam, mu, 5) == naive_schur_expand(lam, mu, 5), (lam, mu)
+
+
+def test_import_loads_no_numpy():
+    src = str(Path(schubcalc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, schubcalc; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestAgainstTableauRoute:

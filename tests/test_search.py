@@ -51,16 +51,6 @@ class TestEnumerateZeroPairs:
     def test_cross_validate_agrees(self):
         assert enumerate_zero_pairs(C26, 7, cross_validate=True) == enumerate_zero_pairs(C26, 7)
 
-    def test_thread_count_does_not_change_output(self):
-        base = enumerate_zero_pairs(C26, 12)
-        for threads in (2, 3, 7):
-            assert enumerate_zero_pairs(C26, 12, threads=threads) == base
-
-    def test_env_var_thread_override(self, monkeypatch):
-        base = enumerate_zero_pairs(C26, 12, threads=1)
-        monkeypatch.setenv("SCHUBCALC_THREADS", "4")
-        assert enumerate_zero_pairs(C26, 12) == base
-
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             enumerate_zero_pairs(C26, 2 * C26.dim + 1)
@@ -137,7 +127,7 @@ class TestSearchReport:
 
     def test_deterministic_modulo_elapsed(self):
         a = search_report(C26).to_json_dict()
-        b = search_report(C26, threads=3).to_json_dict()
+        b = search_report(C26).to_json_dict()
         a.pop("elapsed_ms")
         b.pop("elapsed_ms")
         assert a == b
@@ -195,3 +185,8 @@ class TestVerifyEgd:
         report = verify_egd(GrassmannContext(0, 4))
         assert report.passed
         assert report.hypothesis_count > 0
+
+    @pytest.mark.parametrize("k,n", [(0, 4), (1, 5), (2, 6), (3, 7)])
+    def test_count_matches_search_report(self, k, n):
+        ctx = GrassmannContext(k, n)
+        assert verify_egd(ctx).hypothesis_count == search_report(ctx).scanned_pair_count
