@@ -25,6 +25,7 @@ from schubcalc.chow import (
 from schubcalc.core import (
     GrassmannContext,
     all_symbols,
+    box_layer,
     box_partitions,
     bruhat_leq,
     check_partition,
@@ -77,6 +78,7 @@ __all__ = [
     "SearchReport",
     "VerificationReport",
     "all_symbols",
+    "box_layer",
     "box_partitions",
     "bruhat_leq",
     "check_partition",

@@ -19,12 +19,14 @@ routes (tableau counting and the Bruhat test) are implemented
 independently and cross-validated by the test suite.
 
 Everything is pure and safe for concurrent use; the only shared state
-is an internal memo of basis products, which is deterministic.
+is an internal memo of basis products, which is deterministic and
+handed out as read-only mappings.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, wraps
+from types import MappingProxyType
 
 from schubcalc.core import (
     GrassmannContext,
@@ -301,6 +303,26 @@ def _product_candidates(
     return out
 
 
+def _read_only_views(memo):
+    """Hand out each mapping memoized by ``memo`` as a read-only view.
+
+    The memo keeps plain dicts, which the garbage collector stops
+    tracking (their keys and values are ints and tuples of ints).  A
+    view stored in the memo would stay tracked as long as the memo
+    holds it, and with a full memo that lengthened every collector
+    pause; so a view is made per call instead.  ``cache_info`` and
+    ``cache_clear`` pass through.
+    """
+
+    @wraps(memo)
+    def views(*args):
+        return MappingProxyType(memo(*args))
+
+    views.cache_info, views.cache_clear = memo.cache_info, memo.cache_clear
+    return views
+
+
+@_read_only_views
 @lru_cache(maxsize=131072)
 def _basis_product(
     lam: tuple[int, ...], mu: tuple[int, ...], max_rows: int
@@ -309,7 +331,8 @@ def _basis_product(
 
     Keys are reduced partitions (no trailing zeros); columns are not
     truncated here, so the memo is shared across all ambient boxes with
-    the same number of rows.  Callers must not mutate the result.
+    the same number of rows.  Callers get a read-only view, so they
+    cannot change what later products see.
     """
     if (lam, mu) > (mu, lam):
         lam, mu = mu, lam

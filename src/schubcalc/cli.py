@@ -4,8 +4,9 @@ One logical command per invocation; every text output has a JSON twin
 (``--format json``) carrying the same information, and ``--output PATH``
 writes that JSON to a file regardless of the console format.  Exit
 codes: 0 success or verification pass, 1 verification failure
-(a counterexample was found), 2 usage error.  All errors go to stderr
-with the prefix ``error:``.
+(a counterexample was found), 2 usage error (including an unwritable
+``--output`` path and a sweep bound that leaves nothing to check).  All
+errors go to stderr with the prefix ``error:``.
 """
 
 from __future__ import annotations
@@ -266,8 +267,11 @@ def _cmd_verify(args):
         payload = report.to_json_dict()
     else:
         max_n = args.max_n if args.max_n is not None else (8 if claim == "thm-md" else 10)
+        contexts = _verify_contexts(claim, max_n)
+        if not contexts:  # a sweep over nothing must not report "pass"
+            raise ValueError(f"--max-n {max_n} leaves no context to check for {claim}")
         fn = checker["egd" if claim == "egd-sweep" else claim]
-        reports = [fn(ctx) for ctx in _verify_contexts(claim, max_n)]
+        reports = [fn(ctx) for ctx in contexts]
         payload = {
             "claim": claim,
             "max_n": max_n,
@@ -337,12 +341,17 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 1
     twin = json.dumps(payload, indent=2, sort_keys=True)
+    if args.output:
+        try:
+            Path(args.output).write_text(twin + "\n")
+        except OSError as err:
+            print(f"error: cannot write --output {args.output}: {err.strerror or err}",
+                  file=sys.stderr)
+            return 2
     if args.format == "json":
         sys.stdout.write(twin + "\n")
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
-    if args.output:
-        Path(args.output).write_text(twin + "\n")
     return code
 
 

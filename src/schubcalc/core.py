@@ -23,6 +23,12 @@ The conversion between the two is a single call to
 :func:`dual_partition`; forcing one convention everywhere invites
 off-by-complement bugs.
 
+Box partitions are enumerated by weight: :func:`box_layer` gives the
+partitions of one weight, memoized per (context, weight), and
+:func:`box_partitions`, all C(n+1, k+1) of them, is the concatenation of
+the layers.  A search that needs only low weights reads only those
+layers.
+
 Partitions are plain ``tuple[int, ...]`` of fixed length k+1 with
 explicit trailing zeros; symbols are plain 1-based tuples.  All
 functions are pure and all values immutable, so everything here is
@@ -33,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 
 Partition = tuple[int, ...]
 SchubertSymbol = tuple[int, ...]
@@ -189,27 +195,38 @@ def special_symbols(ctx: GrassmannContext) -> tuple[SchubertSymbol, SchubertSymb
 
 
 @lru_cache(maxsize=None)
+def box_layer(ctx: GrassmannContext, w: int) -> tuple[Partition, ...]:
+    """The partitions in the (k+1) x (n-k) box of weight exactly ``w``, ascending.
+
+    Empty unless ``0 <= w <= dim``.  Parts are chosen row by row, each
+    from the smallest value the remaining rows can still make up to the
+    largest the row above allows, so the layer comes out sorted.  The
+    searches read only the low layers they need, never the whole box.
+    """
+    rows = ctx.rows
+    if not 0 <= w <= ctx.dim:
+        return ()
+    out: list[Partition] = []
+
+    def rec(prefix: tuple[int, ...], row: int, cap: int, left: int) -> None:
+        if row == rows - 1:
+            out.append(prefix + (left,))
+        else:
+            for v in range(-(-left // (rows - row)), min(cap, left) + 1):
+                rec(prefix + (v,), row + 1, v, left - v)
+
+    rec((), 0, ctx.cols, w)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
 def box_partitions(ctx: GrassmannContext) -> tuple[Partition, ...]:
     """All partitions in the (k+1) x (n-k) box, sorted by (weight, parts).
 
-    There are C(n+1, k+1) of them; the order is the canonical scan order
-    used by the zero-divisor searches.
+    There are C(n+1, k+1) of them: the concatenation of
+    ``box_layer(ctx, w)`` for w = 0, ..., dim.
     """
-    rows, cols = ctx.rows, ctx.cols
-    out: list[Partition] = []
-
-    def rec(prefix: list[int], row: int, cap: int) -> None:
-        if row == rows:
-            out.append(tuple(prefix))
-            return
-        for v in range(cap + 1):
-            prefix.append(v)
-            rec(prefix, row + 1, v)
-            prefix.pop()
-
-    rec([], 0, cols)
-    out.sort(key=lambda p: (sum(p), p))
-    return tuple(out)
+    return tuple(chain.from_iterable(box_layer(ctx, w) for w in range(ctx.dim + 1)))
 
 
 def all_symbols(ctx: GrassmannContext) -> tuple[SchubertSymbol, ...]:

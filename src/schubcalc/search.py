@@ -18,26 +18,29 @@ searches here therefore range over unordered pairs of box partitions
   scanning their full hypothesis spaces and reporting counterexamples
   (expected: none).
 
-Scans use the O(k) Bruhat vanishing test; ``cross_validate`` recomputes
-every product through the Littlewood-Richardson route as well.  Pair
-enumeration is deterministic: partitions are ordered by (weight, parts)
-and unordered pairs are canonicalized with the smaller partition first.
+Every pair scan runs through one kernel, ``_scan``, which reads only
+the weight layers (:func:`schubcalc.core.box_layer`) up to its
+codimension bound, n+1 for the claims, and never the whole box.  It
+tests each pair with the O(k) vanishing criterion as a containment
+check, ``a`` not inside ``dual(b)``, through the single predicate
+``_not_contained``; ``verify_prop_comp`` tests incomparability the same
+way, on the weight <= n+1 shell and its box duals.  ``cross_validate``
+recomputes every product through the Littlewood-Richardson route as
+well.  Pair enumeration is deterministic: partitions are ordered by
+(weight, parts) and unordered pairs are canonicalized with the smaller
+partition first.
 """
 
 from __future__ import annotations
 
 import time
-from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
+from operator import gt
 
-from schubcalc.chow import (
-    _pair_vanishes_unchecked,
-    multiply,
-    schubert_class,
-)
-from schubcalc.core import GrassmannContext, Partition, box_partitions
+from schubcalc.chow import multiply, schubert_class
+from schubcalc.core import GrassmannContext, Partition, box_layer
 
 ZeroPair = tuple[Partition, Partition, int]
 
@@ -126,6 +129,44 @@ class VerificationReport:
         return out
 
 
+def _not_contained(inner: Partition, outer: Partition) -> bool:
+    """True when the diagram ``inner`` has a cell outside ``outer``.
+
+    The one test every scan makes.  ``sigma_a * sigma_b`` vanishes
+    exactly when ``a`` does not fit inside ``dual(b)``, i.e. when
+    ``a_j + b_{k+2-j} > n-k`` for some j; the comparability dichotomy
+    asks the same of (lam, mu).
+    """
+    return any(map(gt, inner, outer))
+
+
+@lru_cache(maxsize=None)
+def _dual_layer(ctx: GrassmannContext, w: int) -> tuple[Partition, ...]:
+    """Box duals of ``box_layer(ctx, w)``, position by position."""
+    cols = ctx.cols
+    return tuple(tuple([cols - x for x in reversed(p)]) for p in box_layer(ctx, w))
+
+
+def _scan(ctx: GrassmannContext, lo: int, hi: int):
+    """Yield ``(a, b, vanishes)`` for every unordered basis pair with lo <= |a|+|b| <= hi.
+
+    The scan kernel of every pair search.  It reads only the layers of
+    weight <= hi; ``a`` runs through them in (weight, parts) order and
+    ``b`` from ``a`` onward in the same order (self-pairs included).
+    Each pair is tested as ``a`` not contained in ``dual(b)``, with the
+    dual of every ``b`` computed once per context.
+    """
+    not_contained = _not_contained
+    layers = [box_layer(ctx, w) for w in range(hi + 1)]
+    duals = [_dual_layer(ctx, w) for w in range(hi + 1)]
+    for wa in range(hi // 2 + 1):
+        for i, a in enumerate(layers[wa]):
+            for wb in range(max(wa, lo - wa), hi - wa + 1):
+                start = i if wb == wa else 0
+                for b, dual_b in zip(layers[wb][start:], duals[wb][start:]):
+                    yield a, b, not_contained(a, dual_b)
+
+
 def enumerate_zero_pairs(
     ctx: GrassmannContext, max_codim_sum: int, cross_validate: bool = False
 ) -> list[ZeroPair]:
@@ -137,27 +178,18 @@ def enumerate_zero_pairs(
     """
     if not 0 <= max_codim_sum <= 2 * ctx.dim:
         raise ValueError(f"max_codim_sum {max_codim_sum} out of range for {ctx}")
-    parts = box_partitions(ctx)
-    weights = [sum(p) for p in parts]
-    k, cols = ctx.k, ctx.cols
     found: list[ZeroPair] = []
-    for i, a in enumerate(parts):
-        wa = weights[i]
-        for j in range(i, len(parts)):
-            s = wa + weights[j]
-            if s > max_codim_sum:
-                break  # weights are nondecreasing along the list
-            b = parts[j]
-            vanishes = _pair_vanishes_unchecked(a, b, k, cols)
-            if cross_validate:
-                lr_zero = not multiply(schubert_class(ctx, a), schubert_class(ctx, b))
-                if lr_zero != vanishes:
-                    raise RuntimeError(
-                        f"vanishing criterion disagrees with LR product on "
-                        f"{a} x {b} in {ctx}: fast={vanishes}, lr={lr_zero}"
-                    )
-            if vanishes:
-                found.append((a, b, s) if a <= b else (b, a, s))
+    for a, b, vanishes in _scan(ctx, 0, max_codim_sum):
+        if cross_validate:
+            lr_zero = not multiply(schubert_class(ctx, a), schubert_class(ctx, b))
+            if lr_zero != vanishes:
+                raise RuntimeError(
+                    f"vanishing criterion disagrees with LR product on "
+                    f"{a} x {b} in {ctx}: fast={vanishes}, lr={lr_zero}"
+                )
+        if vanishes:
+            s = sum(a) + sum(b)
+            found.append((a, b, s) if a <= b else (b, a, s))
     found.sort(key=lambda t: (t[2], t[0], t[1]))
     return found
 
@@ -166,34 +198,23 @@ def enumerate_zero_pairs(
 def compute_egd(ctx: GrassmannContext) -> int:
     """Effective good divisibility: minimal vanishing codim-sum minus one.
 
-    Equals n for every Grassmannian; that equality is what the test
-    suite verifies, it is not assumed here.
+    Scans the pairs one total codimension at a time and stops at the
+    first vanishing one.  Equals n for every Grassmannian; that equality
+    is what the test suite verifies, it is not assumed here.
     """
-    parts = box_partitions(ctx)
-    buckets: dict[int, list[Partition]] = {}
-    for p in parts:
-        buckets.setdefault(sum(p), []).append(p)
-    k, cols = ctx.k, ctx.cols
-    for s in range(0, 2 * ctx.dim + 1):
-        for wa in range(0, s // 2 + 1):
-            wb = s - wa
-            if wa not in buckets or wb not in buckets:
-                continue
-            for a in buckets[wa]:
-                for b in buckets[wb]:
-                    if wa == wb and b < a:
-                        continue
-                    if _pair_vanishes_unchecked(a, b, k, cols):
-                        return s - 1
+    for s in range(2 * ctx.dim + 1):
+        for _, _, vanishes in _scan(ctx, s, s):
+            if vanishes:
+                return s - 1
     raise RuntimeError(f"no vanishing pair found in {ctx}")  # unreachable: full box squares to zero
 
 
 @lru_cache(maxsize=None)
 def md_pairs(ctx: GrassmannContext) -> tuple[MdPair, ...]:
     """All maximal disjoint basis pairs of ``ctx``, deterministically ordered."""
-    egd = compute_egd(ctx)
-    zero = enumerate_zero_pairs(ctx, egd + 1)
-    return tuple(MdPair(ctx, a, b) for a, b, s in zero if s == egd + 1)
+    limit = compute_egd(ctx) + 1  # no pair below it vanishes
+    pairs = sorted((a, b) if a <= b else (b, a) for a, b, v in _scan(ctx, limit, limit) if v)
+    return tuple(MdPair(ctx, a, b) for a, b in pairs)
 
 
 def has_mdpair_of_type(ctx: GrassmannContext, pair_type) -> bool:
@@ -208,14 +229,11 @@ def has_mdpair_of_type(ctx: GrassmannContext, pair_type) -> bool:
 
 def _pair_count(ctx: GrassmannContext, max_codim_sum: int) -> int:
     """Number of unordered basis pairs (self-pairs included) with codim sum <= bound."""
-    cnt = Counter(sum(p) for p in box_partitions(ctx))
+    cnt = [len(box_layer(ctx, w)) for w in range(max_codim_sum + 1)]
     scanned = 0
-    for wa in cnt:
-        for wb in cnt:
-            if wa < wb and wa + wb <= max_codim_sum:
-                scanned += cnt[wa] * cnt[wb]
-            elif wa == wb and 2 * wa <= max_codim_sum:
-                scanned += cnt[wa] * (cnt[wa] + 1) // 2
+    for wa in range(max_codim_sum // 2 + 1):
+        scanned += cnt[wa] * (cnt[wa] + 1) // 2
+        scanned += cnt[wa] * sum(cnt[wa + 1:max_codim_sum - wa + 1])
     return scanned
 
 
@@ -251,28 +269,19 @@ def verify_thm_md(ctx: GrassmannContext) -> VerificationReport:
     unexpected (missing) zero pair is a counterexample.
     """
     _require_interior(ctx)
-    parts = box_partitions(ctx)
-    weights = [sum(p) for p in parts]
-    k, cols, limit = ctx.k, ctx.cols, ctx.n + 1
+    cols, limit = ctx.cols, ctx.n + 1
     counterexamples: list[dict] = []
     zero_found: list[tuple[Partition, Partition]] = []
     scanned = 0
-    for i in range(len(parts)):
-        a = parts[i]
-        wa = weights[i]
-        for j in range(i, len(parts)):
-            if wa + weights[j] > limit:
-                break
-            b = parts[j]
-            scanned += 1
-            fast = _pair_vanishes_unchecked(a, b, k, cols)
-            lr_zero = not multiply(schubert_class(ctx, a), schubert_class(ctx, b))
-            if fast != lr_zero:
-                counterexamples.append(
-                    {"kind": "fast-vs-lr-mismatch", "a": list(a), "b": list(b)}
-                )
-            if lr_zero:
-                zero_found.append((a, b) if a <= b else (b, a))
+    for a, b, fast in _scan(ctx, 0, limit):
+        scanned += 1
+        lr_zero = not multiply(schubert_class(ctx, a), schubert_class(ctx, b))
+        if fast != lr_zero:
+            counterexamples.append(
+                {"kind": "fast-vs-lr-mismatch", "a": list(a), "b": list(b)}
+            )
+        if lr_zero:
+            zero_found.append((a, b) if a <= b else (b, a))
     expected = tuple(
         sorted([(1,) * ctx.rows, (cols,) + (0,) * (ctx.rows - 1)])
     )
@@ -307,40 +316,44 @@ def verify_prop_comp(ctx: GrassmannContext) -> VerificationReport:
     fails exactly for the two pairs
     ((n-k, 0, ..., 0), (n-k-1, ..., n-k-1)) and
     ((1, ..., 1), (n-k, ..., n-k, 0)).
+
+    The bound is ``|lam| + |dual(mu)| <= n+1``, so lam runs over the
+    layers of weight <= n+1 and mu over their box duals, in (weight,
+    parts) order; no other partition can take part.
     """
     _require_interior(ctx)
-    rows, cols, k = ctx.rows, ctx.cols, ctx.k
-    parts = box_partitions(ctx)
-    weights = [sum(p) for p in parts]
+    rows, cols = ctx.rows, ctx.cols
     exc_a = ((cols,) + (0,) * (rows - 1), (cols - 1,) * rows)
     exc_b = ((1,) * rows, (cols,) * (rows - 1) + (0,))
     expected = {exc_a, exc_b}
+    expected_lams: dict[Partition, set[Partition]] = {}  # lam of each expected pair, by mu
+    for lam, mu in expected:
+        expected_lams.setdefault(mu, set()).add(lam)
+    not_contained = _not_contained
     counterexamples: list[dict] = []
     exceptional: list[tuple[Partition, Partition]] = []
     hypothesis_count = 0
-    shift = k * cols - (k + 1)
-    for mu in parts:
-        bound = sum(mu) - shift
-        if bound < 0:
-            continue
-        stop = bisect_right(weights, bound)
-        for idx in range(stop):
-            lam = parts[idx]
-            hypothesis_count += 1
-            incomparable = any(l > m for l, m in zip(lam, mu))
-            is_expected = (lam, mu) in expected
-            if incomparable != is_expected:
-                counterexamples.append(
-                    {
-                        "kind": "incomparable-but-unexpected"
-                        if incomparable
-                        else "expected-but-comparable",
-                        "lambda": list(lam),
-                        "mu": list(mu),
-                    }
-                )
-            if incomparable:
-                exceptional.append((lam, mu))
+    limit = ctx.n + 1
+    layers = [box_layer(ctx, w) for w in range(limit + 1)]
+    for w in range(limit, -1, -1):  # |mu| = dim - w ascends
+        lams = tuple(chain.from_iterable(layers[: limit - w + 1]))
+        for mu in sorted(_dual_layer(ctx, w)):
+            hypothesis_count += len(lams)
+            special = expected_lams.get(mu, ())
+            for lam in lams:
+                incomparable = not_contained(lam, mu)
+                if incomparable != (lam in special):
+                    counterexamples.append(
+                        {
+                            "kind": "incomparable-but-unexpected"
+                            if incomparable
+                            else "expected-but-comparable",
+                            "lambda": list(lam),
+                            "mu": list(mu),
+                        }
+                    )
+                if incomparable:
+                    exceptional.append((lam, mu))
     if set(exceptional) != expected:
         for lam, mu in sorted(expected - set(exceptional)):
             counterexamples.append(

@@ -219,6 +219,16 @@ class TestMultiply:
             assert all(c > 0 for c in multiply(x, y).terms.values())
 
 
+class TestProductMemo:
+    def test_memoized_products_are_read_only(self):
+        from schubcalc.chow import _basis_product
+
+        with pytest.raises(TypeError):
+            _basis_product((1,), (1,), 2)[(2,)] = 99
+        assert _basis_product((1,), (1,), 2) == {(2,): 1, (1, 1): 1}
+        assert format_class(multiply(sigma(C13, 1, 0), sigma(C13, 1, 0))) == "σ(2) + σ(1,1)"
+
+
 class TestVanishingCriterion:
     def test_hyperplane_point_pair(self):
         i_h, i_p = special_symbols(C26)

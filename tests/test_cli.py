@@ -147,7 +147,7 @@ class TestMdPairsCommand:
 
         # Fill the egd memo first, so the stubbed vanishing test cannot poison it.
         search.compute_egd(search.GrassmannContext(1, 4))
-        monkeypatch.setattr(search, "_pair_vanishes_unchecked", lambda *args: True)
+        monkeypatch.setattr(search, "_not_contained", lambda *args: True)
         code, out, err = run(capsys, "mdpairs", "--k", "1", "--n", "4", "--cross-validate")
         assert code == 1
         assert out == ""
@@ -209,6 +209,15 @@ class TestVerifyCommand:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "claim,max_n", [("thm-md", "2"), ("prop-comp", "-3"), ("egd-sweep", "0")]
+    )
+    def test_sweep_without_contexts_rejected(self, capsys, claim, max_n):
+        code, out, err = run(capsys, "verify", claim, "--max-n", max_n)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "no context" in err
+
 
 class TestClassifyCommand:
     def test_single(self, capsys):
@@ -269,6 +278,14 @@ class TestErrors:
         code, _, err = run(capsys, "egd", "--k", "9", "--n", "6")
         assert code == 2
         assert err.startswith("error:")
+
+    def test_unwritable_output_path(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, "egd", "--k", "1", "--n", "4", "--output", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and str(target) in err
+        assert not target.exists()
 
     def test_help_exits_zero(self, capsys):
         code, out, _ = run(capsys, "--help")

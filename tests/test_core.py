@@ -1,12 +1,15 @@
 """Conversions, duality, Bruhat order and rendering."""
 
 import random
+from itertools import combinations_with_replacement
+from math import comb
 
 import pytest
 
 from schubcalc import (
     GrassmannContext,
     all_symbols,
+    box_layer,
     box_partitions,
     bruhat_leq,
     check_partition,
@@ -176,8 +179,6 @@ class TestSpecialSymbols:
 
 class TestBoxPartitions:
     def test_counts(self):
-        from math import comb
-
         for ctx in small_contexts(10):
             parts = box_partitions(ctx)
             assert len(parts) == comb(ctx.n + 1, ctx.rows)
@@ -185,6 +186,37 @@ class TestBoxPartitions:
             assert list(parts) == sorted(parts, key=lambda p: (sum(p), p))
             for p in parts:
                 check_partition(ctx, p)
+
+
+class TestBoxLayer:
+    @staticmethod
+    def brute_box(ctx):
+        """Every weakly decreasing (k+1)-tuple with entries in [0, n-k]."""
+        return [
+            tuple(sorted(c, reverse=True))
+            for c in combinations_with_replacement(range(ctx.cols + 1), ctx.rows)
+        ]
+
+    def test_matches_weight_filter_of_full_box(self):
+        for ctx in small_contexts(9):
+            full = self.brute_box(ctx)
+            for w in range(ctx.dim + 1):
+                assert list(box_layer(ctx, w)) == sorted(p for p in full if sum(p) == w)
+
+    def test_sizes_sum_to_binomial(self):
+        for ctx in small_contexts(12):
+            sizes = [len(box_layer(ctx, w)) for w in range(ctx.dim + 1)]
+            assert sum(sizes) == comb(ctx.n + 1, ctx.rows)
+            assert sizes == sizes[::-1]  # duality pairs weight w with dim - w
+
+    def test_out_of_range_weights_are_empty(self):
+        assert box_layer(C26, -1) == ()
+        assert box_layer(C26, C26.dim + 1) == ()
+
+    def test_box_partitions_is_their_concatenation(self):
+        for ctx in small_contexts(9):
+            layers = [p for w in range(ctx.dim + 1) for p in box_layer(ctx, w)]
+            assert list(box_partitions(ctx)) == layers
 
 
 class TestRender:

@@ -190,3 +190,37 @@ class TestVerifyEgd:
     def test_count_matches_search_report(self, k, n):
         ctx = GrassmannContext(k, n)
         assert verify_egd(ctx).hypothesis_count == search_report(ctx).scanned_pair_count
+
+
+class TestShellOnly:
+    """The searches read weight layers only; none builds the whole box."""
+
+    @pytest.mark.parametrize("k,n", [(3, 9), (7, 15)])
+    def test_no_search_calls_box_partitions(self, monkeypatch, k, n):
+        import schubcalc.core as core
+        import schubcalc.search as search
+
+        def refuse(ctx):
+            raise AssertionError(f"box_partitions({ctx}) called by a search")
+
+        weights_read = set()
+
+        def recording_layer(ctx, w):
+            weights_read.add(w)
+            return core.box_layer(ctx, w)
+
+        monkeypatch.setattr(core, "box_partitions", refuse)
+        monkeypatch.setattr(search, "box_partitions", refuse, raising=False)
+        monkeypatch.setattr(search, "box_layer", recording_layer)
+        compute_egd.cache_clear()
+        md_pairs.cache_clear()
+        search._dual_layer.cache_clear()
+        ctx = GrassmannContext(k, n)
+        expected = ((1,) * ctx.rows, (ctx.cols,) + (0,) * ctx.k)
+        assert compute_egd(ctx) == n
+        assert [(p.a, p.b) for p in md_pairs(ctx)] == [expected]
+        assert enumerate_zero_pairs(ctx, n + 1) == [expected + (n + 1,)]
+        assert verify_egd(ctx).passed
+        assert verify_prop_comp(ctx).passed
+        assert verify_thm_md(ctx).passed
+        assert max(weights_read) == n + 1  # the shell, far below dim
