@@ -13,10 +13,18 @@ strictly increase top to bottom) and whose right-to-left, top-to-bottom
 reading word is a lattice word.  The sum is truncated to the box, which
 is exactly the quotient presentation of the Chow ring.
 
+One walk, ``_lr_walk``, enumerates these tableaux: it adds the content
+to lam one letter at a time, each letter's cells a horizontal strip,
+and enforces the lattice-word condition as each strip is placed.
+Basis products count the shapes it ends in, ``lr_coefficient`` counts
+its tableaux inside a fixed nu, and ``lr_fillings`` reads their rows
+off the same chains of shapes.
+
 The module also provides the O(k) vanishing test: ``[X_I]*[X_J]`` is
-nonzero if and only if the dual symbol of I is Bruhat-below J.  Both
-routes (tableau counting and the Bruhat test) are implemented
-independently and cross-validated by the test suite.
+nonzero if and only if the dual symbol of I is Bruhat-below J, i.e.
+when the codimension partition of one fits inside the box dual of the
+other.  Both routes (tableau counting and the containment test) are
+implemented independently and cross-validated by the test suite.
 
 Everything is pure and safe for concurrent use; the only shared state
 is an internal memo of basis products, which is deterministic and
@@ -31,22 +39,13 @@ from types import MappingProxyType
 from schubcalc.core import (
     GrassmannContext,
     Partition,
+    _not_contained,
+    _reduced,
     bruhat_leq,
     check_partition,
     check_symbol,
     dual_symbol,
-    partition_contains,
 )
-
-
-def _reduced(parts) -> tuple[int, ...]:
-    """Strip trailing zeros; validate weak decrease and nonnegativity."""
-    p = tuple(int(x) for x in parts)
-    if any(a < b for a, b in zip(p, p[1:])) or (p and p[-1] < 0):
-        raise ValueError(f"{p} is not a partition")
-    while p and p[-1] == 0:
-        p = p[:-1]
-    return p
 
 
 class CycleClass:
@@ -152,91 +151,95 @@ def zero_class(ctx: GrassmannContext) -> CycleClass:
     return CycleClass(ctx, {})
 
 
-def _lr_count(lam_p: tuple[int, ...], mu: tuple[int, ...], nu: tuple[int, ...]) -> int:
-    """Backtracking count of LR fillings of nu/lam with content mu.
+def _strips(shape, outer, size, bound):
+    """The shapes made by adding a horizontal strip of ``size`` cells to ``shape``.
 
-    Cells are visited in reading order (rows top to bottom, right to
-    left within a row) so the lattice-word condition can be enforced
-    incrementally: value v may be placed only while its running count
-    stays strictly below the count of v-1.  ``lam_p`` must be padded to
-    ``len(nu)``.
+    Row r grows to at most ``outer[r]`` and, so that no two new cells
+    share a column, to at most the old length of row r-1.  ``bound[r]``,
+    when given, caps the strip's cells in rows <= r.  Upper rows are
+    filled first.
     """
-    nmu = len(mu)
-    grid = [[0] * r for r in nu]
-    cells = []
-    for r in range(len(nu)):
-        for c in range(nu[r] - 1, lam_p[r] - 1, -1):
-            cells.append((r, c))
-    total = len(cells)
-    counts = [0] * (nmu + 1)
+    rows = len(shape)
+    room = [0] * (rows + 1)  # room[r]: cells the strip can still take in rows >= r
+    for r in range(rows - 1, -1, -1):
+        room[r] = room[r + 1] + min(outer[r], shape[r - 1] if r else outer[0]) - shape[r]
+    if room[0] < size:
+        return []
+    out = []
 
-    def place(t: int) -> int:
-        if t == total:
-            return 1
-        r, c = cells[t]
-        row = grid[r]
-        hi = row[c + 1] if c + 1 < nu[r] else nmu
-        if r + 1 < hi:
-            hi = r + 1  # entries in row r are at most r+1 (1-based row index)
-        if r > 0 and c >= lam_p[r - 1]:
-            lo = grid[r - 1][c] + 1
-        else:
-            lo = 1
-        found = 0
-        for v in range(lo, hi + 1):
-            if counts[v] >= mu[v - 1]:
-                continue
-            if v > 1 and counts[v] >= counts[v - 1]:
-                continue
-            counts[v] += 1
-            row[c] = v
-            found += place(t + 1)
-            counts[v] -= 1
-        return found
+    def grow(r, left, prefix):
+        if not left:
+            out.append(prefix + shape[r:])
+            return
+        hi = min(left, room[r] - room[r + 1])
+        if bound is not None:
+            hi = min(hi, bound[r] - size + left)
+        for x in range(hi, max(0, left - room[r + 1]) - 1, -1):
+            grow(r + 1, left - x, prefix + (shape[r] + x,))
 
-    return place(0)
+    grow(0, size, ())
+    return out
+
+
+def _lr_walk(lam, mu, outer):
+    """Yield every LR tableau of shape nu/lam and content mu with nu inside ``outer``.
+
+    Each tableau is yielded as its chain of shapes ``(lam, ..., nu)``:
+    the cells holding letter i are the horizontal strip between the
+    i-th and (i+1)-th shapes.  Letters are added one strip at a time,
+    and the lattice-word condition on the reading word (right to left,
+    top to bottom) is enforced as each strip is placed: for every
+    letter i > 1 and every row r, the i's in rows <= r may not outnumber
+    the (i-1)'s in rows < r.  ``lam`` and ``mu`` are reduced; ``outer``
+    is a weakly decreasing tuple whose length caps the number of rows.
+    This is the strip-by-strip scheme of Buch's lrcalc for the rule of
+    Fulton, *Young Tableaux*, section 5.
+    """
+    rows = len(outer)
+    if len(lam) > rows:
+        return
+    start = lam + (0,) * (rows - len(lam))
+    if _not_contained(start, outer):
+        return
+    last = len(mu)
+
+    def walk(chain, i):
+        if i == last:
+            yield chain
+            return
+        bound = None
+        if i:  # the previous letter's cells in rows < r, for each row r
+            prev, shape = chain[-2], chain[-1]
+            bound = [0] * rows
+            for r in range(1, rows):
+                bound[r] = bound[r - 1] + shape[r - 1] - prev[r - 1]
+        for nxt in _strips(chain[-1], outer, mu[i], bound):
+            yield from walk(chain + (nxt,), i + 1)
+
+    yield from walk((start,), 0)
 
 
 def lr_fillings(lam, mu, nu):
     """Yield the LR fillings counted by :func:`lr_coefficient`, one per tableau.
 
     Each filling is a list of rows of the skew shape nu/lam (row r holds
-    the values of cells lam_r+1 .. nu_r, left to right).  Useful for
-    inspection and for testing the tableau invariants directly; the
-    counting routine is the optimized twin of this generator.
+    the values of cells lam_r+1 .. nu_r, left to right), read off a
+    chain of :func:`_lr_walk`.  Fillings come in ascending order of
+    their reading words.  Useful for inspection and for testing the
+    tableau invariants directly.
     """
     lam, mu, nu = _reduced(lam), _reduced(mu), _reduced(nu)
-    if sum(nu) != sum(lam) + sum(mu) or not partition_contains(nu, lam):
+    if sum(nu) != sum(lam) + sum(mu):
         return
-    lam_p = lam + (0,) * (len(nu) - len(lam))
-    if not mu:
-        yield [[] for _ in nu]
-        return
-    nmu = len(mu)
-    grid = [[0] * r for r in nu]
-    cells = []
-    for r in range(len(nu)):
-        for c in range(nu[r] - 1, lam_p[r] - 1, -1):
-            cells.append((r, c))
-    counts = [0] * (nmu + 1)
-
-    def place(t):
-        if t == len(cells):
-            yield [row[lam_p[r]:] for r, row in enumerate(grid)]
-            return
-        r, c = cells[t]
-        row = grid[r]
-        hi = min(row[c + 1] if c + 1 < nu[r] else nmu, r + 1)
-        lo = grid[r - 1][c] + 1 if r > 0 and c >= lam_p[r - 1] else 1
-        for v in range(lo, hi + 1):
-            if counts[v] >= mu[v - 1] or (v > 1 and counts[v] >= counts[v - 1]):
-                continue
-            counts[v] += 1
-            row[c] = v
-            yield from place(t + 1)
-            counts[v] -= 1
-
-    yield from place(0)
+    fillings = [
+        [
+            [v for v in range(1, len(chain)) for _ in range(chain[v][r] - chain[v - 1][r])]
+            for r in range(len(nu))
+        ]
+        for chain in _lr_walk(lam, mu, nu)
+    ]
+    fillings.sort(key=lambda f: [v for row in f for v in reversed(row)])
+    yield from fillings
 
 
 def lr_coefficient(lam, mu, nu) -> int:
@@ -249,58 +252,7 @@ def lr_coefficient(lam, mu, nu) -> int:
     lam, mu, nu = _reduced(lam), _reduced(mu), _reduced(nu)
     if sum(nu) != sum(lam) + sum(mu):
         return 0
-    if not partition_contains(nu, lam) or not partition_contains(nu, mu):
-        return 0
-    if not mu:
-        return 1
-    lam_p = lam + (0,) * (len(nu) - len(lam))
-    # row 1 of nu/lam is forced to be all 1's, so it holds at most mu_1 cells
-    if nu[0] - lam_p[0] > mu[0]:
-        return 0
-    # every column of nu/lam has at most len(mu) cells
-    nmu = len(mu)
-    for r in range(nmu, len(nu)):
-        if nu[r] > lam_p[r - nmu]:
-            return 0
-    return _lr_count(lam_p, mu, nu)
-
-
-def _product_candidates(
-    lam: tuple[int, ...], mu: tuple[int, ...], max_rows: int
-) -> list[tuple[int, ...]]:
-    """Shapes that can support a nonzero coefficient in sigma_lam*sigma_mu.
-
-    Enumerates partitions nu with lam inside nu, |nu| = |lam| + |mu|,
-    at most ``max_rows`` rows, first part at most lam_1 + mu_1, and the
-    per-column bound len(column of nu/lam) <= len(mu).
-    """
-    total = sum(lam) + sum(mu)
-    lam_p = lam + (0,) * (max_rows - len(lam))
-    cap0 = (lam[0] if lam else 0) + (mu[0] if mu else 0)
-    nmu = len(mu)
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: list[int], row: int, left: int) -> None:
-        if row == max_rows:
-            if left == 0:
-                p = list(prefix)
-                while p and p[-1] == 0:
-                    p.pop()
-                out.append(tuple(p))
-            return
-        hi = prefix[row - 1] if row else cap0
-        if nmu and row >= nmu:
-            hi = min(hi, lam_p[row - nmu])
-        lo = lam_p[row]
-        if hi * (max_rows - row) < left:
-            return
-        for v in range(min(hi, left), lo - 1, -1):
-            prefix.append(v)
-            rec(prefix, row + 1, left - v)
-            prefix.pop()
-
-    rec([], 0, total)
-    return out
+    return sum(1 for _ in _lr_walk(lam, mu, nu))
 
 
 def _read_only_views(memo):
@@ -336,11 +288,17 @@ def _basis_product(
     """
     if (lam, mu) > (mu, lam):
         lam, mu = mu, lam
+    width = (lam[0] if lam else 0) + (mu[0] if mu else 0)
+    counts: dict[tuple[int, ...], int] = {}
+    for chain in _lr_walk(lam, mu, (width,) * max_rows):
+        nu = chain[-1]
+        counts[nu] = counts.get(nu, 0) + 1
     out: dict[tuple[int, ...], int] = {}
-    for nu in _product_candidates(lam, mu, max_rows):
-        c = lr_coefficient(lam, mu, nu)
-        if c:
-            out[nu] = c
+    for nu, c in counts.items():
+        length = len(nu)
+        while length and not nu[length - 1]:
+            length -= 1
+        out[nu[:length]] = c
     return out
 
 
@@ -370,14 +328,7 @@ def pair_vanishes(ctx: GrassmannContext, a, b) -> bool:
     """
     a = check_partition(ctx, a)
     b = check_partition(ctx, b)
-    return _pair_vanishes_unchecked(a, b, ctx.k, ctx.cols)
-
-
-def _pair_vanishes_unchecked(a, b, k: int, cols: int) -> bool:
-    for t in range(k + 1):
-        if a[t] + b[k - t] > cols:
-            return True
-    return False
+    return _not_contained(a, tuple([ctx.cols - x for x in reversed(b)]))
 
 
 def product_vanishes_fast(ctx: GrassmannContext, symbol_i, symbol_j) -> bool:

@@ -260,6 +260,8 @@ def _cmd_verify(args):
         raise ValueError("verify needs both --k and --n, or neither (sweep mode)")
     if single and claim == "egd-sweep":
         raise ValueError("egd-sweep is a sweep; use --max-n, not --k/--n")
+    if single and args.max_n is not None:
+        raise ValueError("--max-n bounds a sweep; it cannot be combined with --k/--n")
     checker = {"thm-md": verify_thm_md, "prop-comp": verify_prop_comp, "egd": verify_egd}
     if single:
         report = checker[claim](GrassmannContext(args.k, args.n))

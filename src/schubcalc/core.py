@@ -30,9 +30,10 @@ the layers.  A search that needs only low weights reads only those
 layers.
 
 Partitions are plain ``tuple[int, ...]`` of fixed length k+1 with
-explicit trailing zeros; symbols are plain 1-based tuples.  All
-functions are pure and all values immutable, so everything here is
-safe to share across threads.
+explicit trailing zeros; symbols are plain 1-based tuples.  Parts are
+converted with ``operator.index``, so a float or a string is rejected
+by name, never truncated.  All functions are pure and all values
+immutable, so everything here is safe to share across threads.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations
+from operator import gt, index
 
 Partition = tuple[int, ...]
 SchubertSymbol = tuple[int, ...]
@@ -81,13 +83,28 @@ class GrassmannContext:
         return f"G({self.k},{self.n})"
 
 
+def _integers(what: str, values) -> tuple[int, ...]:
+    """``values`` as a tuple of ints; a part that is not an integer is a ``ValueError``.
+
+    Parts are converted with ``operator.index``, so ``1.9`` or ``"2"`` is
+    rejected by name instead of being truncated or parsed.
+    """
+    values = tuple(values)
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        bad = next(x for x in values if not hasattr(type(x), "__index__"))
+        raise ValueError(f"{what} {values!r} has a non-integer part {bad!r}") from None
+
+
 def check_partition(ctx: GrassmannContext, parts) -> Partition:
     """Validate ``parts`` as a box partition for ``ctx`` and return it as a tuple.
 
-    A valid partition has exactly k+1 entries (trailing zeros explicit),
-    is weakly decreasing, and fits the box: ``cols >= p_1 >= ... >= p_{k+1} >= 0``.
+    A valid partition has exactly k+1 integer entries (trailing zeros
+    explicit), is weakly decreasing, and fits the box:
+    ``cols >= p_1 >= ... >= p_{k+1} >= 0``.
     """
-    p = tuple(int(x) for x in parts)
+    p = _integers("partition", parts)
     if len(p) != ctx.rows:
         raise ValueError(
             f"partition {p} has {len(p)} parts, expected {ctx.rows} for {ctx}"
@@ -99,9 +116,19 @@ def check_partition(ctx: GrassmannContext, parts) -> Partition:
     return p
 
 
+def _reduced(parts) -> tuple[int, ...]:
+    """Strip trailing zeros; validate integer parts, weak decrease and nonnegativity."""
+    p = _integers("partition", parts)
+    if any(a < b for a, b in zip(p, p[1:])) or (p and p[-1] < 0):
+        raise ValueError(f"{p} is not a partition")
+    while p and p[-1] == 0:
+        p = p[:-1]
+    return p
+
+
 def normalize_partition(ctx: GrassmannContext, parts) -> Partition:
     """Pad or strip trailing zeros to length k+1, then validate."""
-    p = list(int(x) for x in parts)
+    p = list(_integers("partition", parts))
     while len(p) > ctx.rows and p and p[-1] == 0:
         p.pop()
     p.extend([0] * (ctx.rows - len(p)))
@@ -109,8 +136,8 @@ def normalize_partition(ctx: GrassmannContext, parts) -> Partition:
 
 
 def check_symbol(ctx: GrassmannContext, indices) -> SchubertSymbol:
-    """Validate a Schubert symbol: strictly increasing, within [1, n+1]."""
-    s = tuple(int(x) for x in indices)
+    """Validate a Schubert symbol: integer, strictly increasing, within [1, n+1]."""
+    s = _integers("symbol", indices)
     if len(s) != ctx.rows:
         raise ValueError(
             f"symbol {s} has {len(s)} indices, expected {ctx.rows} for {ctx}"
@@ -166,6 +193,17 @@ def partition_contains(outer, inner) -> bool:
     if len(inner) > len(outer) and any(x > 0 for x in inner[len(outer):]):
         return False
     return all(i <= o for o, i in zip(outer, inner))
+
+
+def _not_contained(inner: Partition, outer: Partition) -> bool:
+    """True when the diagram ``inner`` has a cell outside ``outer`` (equal lengths).
+
+    The one vanishing predicate: ``sigma_a * sigma_b`` vanishes exactly
+    when ``a`` does not fit inside ``dual(b)``, i.e. when
+    ``a_j + b_{k+2-j} > n-k`` for some j; the comparability dichotomy
+    asks the same of (lam, mu).
+    """
+    return any(map(gt, inner, outer))
 
 
 def bruhat_leq(ctx: GrassmannContext, symbol_a, symbol_b) -> bool:

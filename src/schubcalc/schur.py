@@ -46,7 +46,7 @@ from bisect import bisect_left
 from functools import lru_cache
 from itertools import product as _iproduct
 
-from schubcalc.chow import _reduced
+from schubcalc.core import _reduced
 
 
 @lru_cache(maxsize=None)

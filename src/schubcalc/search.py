@@ -23,12 +23,13 @@ the weight layers (:func:`schubcalc.core.box_layer`) up to its
 codimension bound, n+1 for the claims, and never the whole box.  It
 tests each pair with the O(k) vanishing criterion as a containment
 check, ``a`` not inside ``dual(b)``, through the single predicate
-``_not_contained``; ``verify_prop_comp`` tests incomparability the same
-way, on the weight <= n+1 shell and its box duals.  ``cross_validate``
-recomputes every product through the Littlewood-Richardson route as
-well.  Pair enumeration is deterministic: partitions are ordered by
-(weight, parts) and unordered pairs are canonicalized with the smaller
-partition first.
+``_not_contained`` of :mod:`schubcalc.core`, which
+:func:`schubcalc.chow.pair_vanishes` uses as well; ``verify_prop_comp``
+tests incomparability the same way, on the weight <= n+1 shell and its
+box duals.  ``cross_validate`` recomputes every product through the
+Littlewood-Richardson route as well.  Pair enumeration is
+deterministic: partitions are ordered by (weight, parts) and unordered
+pairs are canonicalized with the smaller partition first.
 """
 
 from __future__ import annotations
@@ -37,10 +38,9 @@ import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
-from operator import gt
 
 from schubcalc.chow import multiply, schubert_class
-from schubcalc.core import GrassmannContext, Partition, box_layer
+from schubcalc.core import GrassmannContext, Partition, _integers, _not_contained, box_layer
 
 ZeroPair = tuple[Partition, Partition, int]
 
@@ -129,17 +129,6 @@ class VerificationReport:
         return out
 
 
-def _not_contained(inner: Partition, outer: Partition) -> bool:
-    """True when the diagram ``inner`` has a cell outside ``outer``.
-
-    The one test every scan makes.  ``sigma_a * sigma_b`` vanishes
-    exactly when ``a`` does not fit inside ``dual(b)``, i.e. when
-    ``a_j + b_{k+2-j} > n-k`` for some j; the comparability dichotomy
-    asks the same of (lam, mu).
-    """
-    return any(map(gt, inner, outer))
-
-
 @lru_cache(maxsize=None)
 def _dual_layer(ctx: GrassmannContext, w: int) -> tuple[Partition, ...]:
     """Box duals of ``box_layer(ctx, w)``, position by position."""
@@ -219,7 +208,7 @@ def md_pairs(ctx: GrassmannContext) -> tuple[MdPair, ...]:
 
 def has_mdpair_of_type(ctx: GrassmannContext, pair_type) -> bool:
     """True when some md-pair of ``ctx`` has the given unordered type {i, j}."""
-    t = tuple(sorted(int(x) for x in pair_type))
+    t = tuple(sorted(_integers("pair type", pair_type)))
     if len(t) != 2:
         raise ValueError(f"pair type must have two entries, got {pair_type}")
     if t[0] + t[1] != compute_egd(ctx) + 1:

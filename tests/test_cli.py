@@ -209,6 +209,15 @@ class TestVerifyCommand:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("claim", ["thm-md", "prop-comp"])
+    def test_max_n_with_single_context_rejected(self, capsys, claim):
+        code, out, err = run(
+            capsys, "verify", claim, "--k", "2", "--n", "6", "--max-n", "3"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "--max-n" in err
+
     @pytest.mark.parametrize(
         "claim,max_n", [("thm-md", "2"), ("prop-comp", "-3"), ("egd-sweep", "0")]
     )

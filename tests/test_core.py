@@ -17,13 +17,20 @@ from schubcalc import (
     dim_partition_to_symbol,
     dual_partition,
     dual_symbol,
+    has_mdpair_of_type,
+    lr_coefficient,
+    lr_fillings,
+    lr_oracle,
     normalize_partition,
+    pair_vanishes,
     partition_contains,
     render_diagram,
+    schubert_class,
     special_symbols,
     symbol_to_dim_partition,
 )
 
+C13 = GrassmannContext(1, 3)
 C26 = GrassmannContext(2, 6)
 
 
@@ -39,6 +46,51 @@ class TestContext:
     def test_invalid(self, k, n):
         with pytest.raises(ValueError):
             GrassmannContext(k, n)
+
+
+class TestIntegerParts:
+    """Parts must be integers: floats and strings are rejected, not truncated or parsed."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: lr_coefficient((1.5,), (1,), (2,)),
+            lambda: lr_coefficient((1,), ("1",), (2,)),
+            lambda: list(lr_fillings((1,), (1,), (2.0,))),
+            lambda: schubert_class(C13, (1.9, 0)),
+            lambda: lr_oracle((2.7,), (1,), 2),
+            lambda: lr_oracle(("2",), (1,), 2),
+            lambda: pair_vanishes(C13, ("2", 0), (2.2, 0)),
+            lambda: pair_vanishes(C13, (2, 0), (2.2, 0)),
+            lambda: check_partition(C13, (1, 0.0)),
+            lambda: normalize_partition(C13, ("1",)),
+            lambda: check_symbol(C13, (1, 2.5)),
+            lambda: dual_symbol(C13, ("1", "2")),
+            lambda: has_mdpair_of_type(C13, (1.5, 2.5)),
+            lambda: has_mdpair_of_type(C13, ("1", 3)),
+        ],
+        ids=[
+            "lr_coefficient-float", "lr_coefficient-str", "lr_fillings-float",
+            "schubert_class-float", "lr_oracle-float", "lr_oracle-str",
+            "pair_vanishes-str", "pair_vanishes-float", "check_partition-float",
+            "normalize_partition-str", "check_symbol-float", "dual_symbol-str",
+            "has_mdpair_of_type-float", "has_mdpair_of_type-str",
+        ],
+    )
+    def test_non_integer_part_rejected(self, call):
+        with pytest.raises(ValueError, match="non-integer part"):
+            call()
+
+    def test_message_names_the_value(self):
+        with pytest.raises(ValueError, match=r"1\.9"):
+            check_partition(C13, (1.9, 0))
+        with pytest.raises(ValueError, match="'2'"):
+            check_symbol(C13, ("2", 3))
+
+    def test_integer_likes_still_accepted(self):
+        assert check_partition(C13, [True, False]) == (1, 0)
+        assert normalize_partition(C13, iter([2])) == (2, 0)
+        assert lr_coefficient([1], (1, 0), (1, 1)) == 1
 
 
 class TestConversions:

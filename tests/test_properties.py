@@ -1,0 +1,103 @@
+"""Differential property tests on random Grassmannians up to n = 12.
+
+The exhaustive checks elsewhere stop at n = 8; these draw contexts and
+basis pairs beyond that range and compare the LR tableau walk with the
+Schur oracle, with its own fillings, with itself under swapped factors,
+and with the Pieri rule.
+"""
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from schubcalc import (
+    GrassmannContext,
+    box_layer,
+    lr_coefficient,
+    lr_fillings,
+    lr_oracle,
+    multiply,
+    schubert_class,
+)
+
+
+@st.composite
+def contexts(draw):
+    n = draw(st.integers(5, 12))
+    return GrassmannContext(draw(st.integers(0, n - 1)), n)
+
+
+def partitions_inside(outer):
+    """Partitions inside the weakly decreasing ``outer``, at its length."""
+    return st.lists(
+        st.integers(0, outer[0]), min_size=len(outer), max_size=len(outer)
+    ).map(lambda parts: tuple(sorted(map(min, parts, outer), reverse=True)))
+
+
+@st.composite
+def basis_pairs(draw):
+    """A context and two box partitions; on a drawn flag, b fits inside dual(a).
+
+    Those pairs have a nonzero product, which a uniform draw at n > 8
+    rarely gives: most uniform pairs there exceed the top degree.
+    """
+    ctx = draw(contexts())
+    box = (ctx.cols,) * ctx.rows
+    a = draw(partitions_inside(box))
+    if draw(st.booleans()):
+        box = tuple(ctx.cols - x for x in reversed(a))
+    return ctx, a, draw(partitions_inside(box))
+
+
+def product(ctx, a, b):
+    return multiply(schubert_class(ctx, a), schubert_class(ctx, b)).terms
+
+
+@given(basis_pairs())
+def test_multiply_matches_box_truncated_oracle(pair):
+    ctx, a, b = pair
+    terms = product(ctx, a, b)
+    if sum(a) + sum(b) > ctx.dim:  # no box shape has this degree
+        assert not terms
+        return
+    expansion = lr_oracle(a, b, ctx.rows + 1)
+    assert terms == {
+        nu + (0,) * (ctx.rows - len(nu)): c
+        for nu, c in expansion.items()
+        if len(nu) <= ctx.rows and (not nu or nu[0] <= ctx.cols)
+    }
+
+
+@given(basis_pairs())
+def test_coefficients_count_fillings(pair):
+    ctx, a, b = pair
+    for nu, c in product(ctx, a, b).items():
+        assert lr_coefficient(a, b, nu) == c
+        assert len(list(lr_fillings(a, b, nu))) == c
+
+
+@given(basis_pairs())
+def test_multiply_is_commutative(pair):
+    ctx, a, b = pair
+    terms = product(ctx, a, b)
+    assert product(ctx, b, a) == terms
+    # the memo shares one entry for both orders; the walk itself must agree too
+    for nu, c in terms.items():
+        assert lr_coefficient(b, a, nu) == c
+
+
+@st.composite
+def pieri_cases(draw):
+    ctx = draw(contexts())
+    return ctx, draw(partitions_inside((ctx.cols,) * ctx.rows)), draw(st.integers(0, ctx.cols))
+
+
+@given(pieri_cases())
+def test_one_row_factor_follows_pieri(case):
+    ctx, a, p = case
+    # sigma_a * sigma_p: one term for each nu that adds a horizontal strip of p cells
+    expected = {
+        nu: 1
+        for nu in box_layer(ctx, sum(a) + p)
+        if all(a[r] <= nu[r] <= (a[r - 1] if r else ctx.cols) for r in range(ctx.rows))
+    }
+    assert product(ctx, a, (p,) + (0,) * ctx.k) == expected

@@ -127,6 +127,14 @@ def test_import_loads_no_numpy():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+def test_oracle_takes_nothing_from_the_tableau_module():
+    import schubcalc.schur as schur
+
+    for name, obj in vars(schur).items():
+        assert obj is not schubcalc.chow, name
+        assert getattr(obj, "__module__", None) != "schubcalc.chow", name
+
+
 class TestAgainstTableauRoute:
     def test_every_pair_in_small_grassmannians(self):
         for k, n in [(1, 4), (1, 5), (2, 5), (2, 6), (3, 6)]:
