@@ -39,6 +39,7 @@ from types import MappingProxyType
 from schubcalc.core import (
     GrassmannContext,
     Partition,
+    _integers,
     _not_contained,
     _reduced,
     bruhat_leq,
@@ -61,8 +62,8 @@ class CycleClass:
     def __init__(self, ctx: GrassmannContext, terms) -> None:
         self.ctx = ctx
         clean: dict[Partition, int] = {}
-        for part, coeff in dict(terms).items():
-            c = int(coeff)
+        terms = dict(terms)
+        for part, c in zip(terms, _integers("cycle class with coefficients", terms.values())):
             if c != 0:
                 clean[check_partition(ctx, part)] = c
         self.terms = clean

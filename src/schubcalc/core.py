@@ -30,9 +30,9 @@ the layers.  A search that needs only low weights reads only those
 layers.
 
 Partitions are plain ``tuple[int, ...]`` of fixed length k+1 with
-explicit trailing zeros; symbols are plain 1-based tuples.  Parts are
-converted with ``operator.index``, so a float or a string is rejected
-by name, never truncated.  All functions are pure and all values
+explicit trailing zeros; symbols are plain 1-based tuples.  Parts, and
+the k and n of a context, are converted with ``operator.index``, so a
+float or a string is rejected by name, never truncated.  All functions are pure and all values
 immutable, so everything here is safe to share across threads.
 """
 
@@ -59,6 +59,9 @@ class GrassmannContext:
     n: int
 
     def __post_init__(self) -> None:
+        k, n = _integers("Grassmannian (k, n) =", (self.k, self.n))
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "n", n)
         if self.n < 1 or not 0 <= self.k <= self.n - 1:
             raise ValueError(
                 f"invalid Grassmannian G({self.k},{self.n}): need n >= 1 and 0 <= k <= n-1"

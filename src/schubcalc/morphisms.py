@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from schubcalc.core import GrassmannContext
+from schubcalc.core import GrassmannContext, _integers
 from schubcalc.search import has_mdpair_of_type
 
 MUST_BE_CONSTANT = "MUST_BE_CONSTANT"
@@ -44,6 +44,9 @@ class MorphismQuery:
     n: int
 
     def __post_init__(self) -> None:
+        values = _integers("morphism query (l, k, n) =", (self.l, self.k, self.n))
+        for name, value in zip(("l", "k", "n"), values):
+            object.__setattr__(self, name, value)
         if self.n < 1 or not 0 <= self.l <= self.n - 1 or not 0 <= self.k <= self.n - 1:
             raise ValueError(
                 f"invalid query G({self.l},{self.n}) -> G({self.k},{self.n}): "

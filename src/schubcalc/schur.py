@@ -46,7 +46,7 @@ from bisect import bisect_left
 from functools import lru_cache
 from itertools import product as _iproduct
 
-from schubcalc.core import _reduced
+from schubcalc.core import _integers, _reduced
 
 
 @lru_cache(maxsize=None)
@@ -111,7 +111,7 @@ def lr_oracle(lam, mu, num_vars: int) -> dict[tuple[int, ...], int]:
     vanish identically and the expansion is meaningless.
     """
     lam, mu = _reduced(lam), _reduced(mu)
-    m = int(num_vars)
+    (m,) = _integers("num_vars", (num_vars,))
     if m < 1 or m < len(lam) or m < len(mu):
         raise ValueError(
             f"num_vars={num_vars} is too small for shapes {lam} and {mu}; "

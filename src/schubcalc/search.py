@@ -24,9 +24,12 @@ codimension bound, n+1 for the claims, and never the whole box.  It
 tests each pair with the O(k) vanishing criterion as a containment
 check, ``a`` not inside ``dual(b)``, through the single predicate
 ``_not_contained`` of :mod:`schubcalc.core`, which
-:func:`schubcalc.chow.pair_vanishes` uses as well; ``verify_prop_comp``
-tests incomparability the same way, on the weight <= n+1 shell and its
-box duals.  ``cross_validate`` recomputes every product through the
+:func:`schubcalc.chow.pair_vanishes` uses as well.
+``verify_prop_comp`` is the ordered reading of the same scan: lam is
+not inside mu exactly when ``sigma_lam * sigma_dual(mu)`` vanishes, so
+each unordered pair {a, b} is the two hypotheses (a, dual(b)) and
+(b, dual(a)); it reads no layer or dual layer itself.
+``cross_validate`` recomputes every product through the
 Littlewood-Richardson route as well.  Pair enumeration is
 deterministic: partitions are ordered by (weight, parts) and unordered
 pairs are canonicalized with the smaller partition first.
@@ -37,10 +40,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain
 
 from schubcalc.chow import multiply, schubert_class
-from schubcalc.core import GrassmannContext, Partition, _integers, _not_contained, box_layer
+from schubcalc.core import (
+    GrassmannContext, Partition, _integers, _not_contained, box_layer, dual_partition
+)
 
 ZeroPair = tuple[Partition, Partition, int]
 
@@ -306,52 +310,37 @@ def verify_prop_comp(ctx: GrassmannContext) -> VerificationReport:
     ((n-k, 0, ..., 0), (n-k-1, ..., n-k-1)) and
     ((1, ..., 1), (n-k, ..., n-k, 0)).
 
-    The bound is ``|lam| + |dual(mu)| <= n+1``, so lam runs over the
-    layers of weight <= n+1 and mu over their box duals, in (weight,
-    parts) order; no other partition can take part.
+    The bound is ``|lam| + |dual(mu)| <= n+1`` and lam is not inside mu
+    exactly when ``sigma_lam * sigma_dual(mu)`` vanishes, so this is the
+    ordered reading of ``_scan(ctx, 0, n+1)``: each unordered pair
+    {a, b} stands for the hypotheses (a, dual(b)) and (b, dual(a)), a
+    self-pair for one, and the two exceptional pairs are the two
+    orderings of Theorem md's pair {[X_H], [X_p]}.
     """
     _require_interior(ctx)
     rows, cols = ctx.rows, ctx.cols
-    exc_a = ((cols,) + (0,) * (rows - 1), (cols - 1,) * rows)
-    exc_b = ((1,) * rows, (cols,) * (rows - 1) + (0,))
-    expected = {exc_a, exc_b}
-    expected_lams: dict[Partition, set[Partition]] = {}  # lam of each expected pair, by mu
-    for lam, mu in expected:
-        expected_lams.setdefault(mu, set()).add(lam)
-    not_contained = _not_contained
-    counterexamples: list[dict] = []
+    expected = {
+        ((cols,) + (0,) * (rows - 1), (cols - 1,) * rows),
+        ((1,) * rows, (cols,) * (rows - 1) + (0,)),
+    }
     exceptional: list[tuple[Partition, Partition]] = []
     hypothesis_count = 0
-    limit = ctx.n + 1
-    layers = [box_layer(ctx, w) for w in range(limit + 1)]
-    for w in range(limit, -1, -1):  # |mu| = dim - w ascends
-        lams = tuple(chain.from_iterable(layers[: limit - w + 1]))
-        for mu in sorted(_dual_layer(ctx, w)):
-            hypothesis_count += len(lams)
-            special = expected_lams.get(mu, ())
-            for lam in lams:
-                incomparable = not_contained(lam, mu)
-                if incomparable != (lam in special):
-                    counterexamples.append(
-                        {
-                            "kind": "incomparable-but-unexpected"
-                            if incomparable
-                            else "expected-but-comparable",
-                            "lambda": list(lam),
-                            "mu": list(mu),
-                        }
-                    )
-                if incomparable:
-                    exceptional.append((lam, mu))
-    if set(exceptional) != expected:
-        for lam, mu in sorted(expected - set(exceptional)):
-            counterexamples.append(
-                {
-                    "kind": "expected-pair-not-found",
-                    "lambda": list(lam),
-                    "mu": list(mu),
-                }
-            )
+    for a, b, incomparable in _scan(ctx, 0, ctx.n + 1):
+        hypothesis_count += 1 if a == b else 2
+        if incomparable:
+            exceptional.append((a, dual_partition(ctx, b)))
+            if a != b:
+                exceptional.append((b, dual_partition(ctx, a)))
+    counterexamples = [
+        {"kind": "incomparable-but-unexpected", "lambda": list(lam), "mu": list(mu)}
+        for lam, mu in exceptional
+        if (lam, mu) not in expected
+    ]
+    counterexamples += [
+        {"kind": "expected-pair-not-found", "lambda": list(lam), "mu": list(mu)}
+        for lam, mu in sorted(expected)
+        if (lam, mu) not in exceptional
+    ]
     return VerificationReport(
         claim="prop-comp",
         k=ctx.k,

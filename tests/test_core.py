@@ -7,7 +7,9 @@ from math import comb
 import pytest
 
 from schubcalc import (
+    CycleClass,
     GrassmannContext,
+    MorphismQuery,
     all_symbols,
     box_layer,
     box_partitions,
@@ -68,13 +70,22 @@ class TestIntegerParts:
             lambda: dual_symbol(C13, ("1", "2")),
             lambda: has_mdpair_of_type(C13, (1.5, 2.5)),
             lambda: has_mdpair_of_type(C13, ("1", 3)),
+            lambda: GrassmannContext(1.5, 3),
+            lambda: GrassmannContext(1, "3"),
+            lambda: MorphismQuery(1.5, 1, 4),
+            lambda: MorphismQuery(1, 1, "4"),
+            lambda: CycleClass(C13, {(1, 0): 1.5}),
+            lambda: CycleClass(C13, {(1, 0): "2"}),
+            lambda: lr_oracle((1,), (1,), 2.9),
         ],
         ids=[
             "lr_coefficient-float", "lr_coefficient-str", "lr_fillings-float",
             "schubert_class-float", "lr_oracle-float", "lr_oracle-str",
             "pair_vanishes-str", "pair_vanishes-float", "check_partition-float",
             "normalize_partition-str", "check_symbol-float", "dual_symbol-str",
-            "has_mdpair_of_type-float", "has_mdpair_of_type-str",
+            "has_mdpair_of_type-float", "has_mdpair_of_type-str", "context-float",
+            "context-str", "query-float", "query-str", "coefficient-float",
+            "coefficient-str", "num_vars-float",
         ],
     )
     def test_non_integer_part_rejected(self, call):

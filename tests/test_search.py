@@ -13,6 +13,7 @@ from schubcalc import (
     has_mdpair_of_type,
     md_pairs,
     multiply,
+    partition_contains,
     schubert_class,
     search_report,
     special_symbols,
@@ -166,6 +167,30 @@ class TestVerifyPropComp:
         with pytest.raises(ValueError):
             verify_prop_comp(GrassmannContext(3, 4))
 
+    def test_unexpected_incomparability_reported(self, monkeypatch):
+        import schubcalc.search as search
+
+        monkeypatch.setattr(search, "_not_contained", lambda *args: True)
+        report = verify_prop_comp(C13)
+        assert not report.passed
+        kinds = {c["kind"] for c in report.counterexamples}
+        assert kinds == {"incomparable-but-unexpected"}
+        # every hypothesis but the two expected ones is a counterexample
+        assert len(report.counterexamples) == report.hypothesis_count - 2
+        assert len(report.exceptional_pairs) == report.hypothesis_count
+
+    def test_missing_expected_pairs_reported_once(self, monkeypatch):
+        import schubcalc.search as search
+
+        monkeypatch.setattr(search, "_not_contained", lambda *args: False)
+        report = verify_prop_comp(C13)
+        assert not report.passed
+        assert report.exceptional_pairs == ()
+        assert report.counterexamples == (
+            {"kind": "expected-pair-not-found", "lambda": [1, 1], "mu": [2, 0]},
+            {"kind": "expected-pair-not-found", "lambda": [2, 0], "mu": [1, 1]},
+        )
+
     def test_json_schema(self):
         data = verify_prop_comp(C13).to_json_dict()
         assert set(data) == {
@@ -178,6 +203,34 @@ class TestVerifyPropComp:
             "exceptional_pairs",
         }
         assert data["status"] == "pass"
+
+
+class TestClaimCountsAgainstBruteForce:
+    """Hypothesis spaces rebuilt from the whole box, without the scan kernel."""
+
+    def test_interior_contexts_up_to_n9(self):
+        for n in range(3, 10):
+            for k in range(1, n - 1):
+                ctx = GrassmannContext(k, n)
+                parts = box_partitions(ctx)
+                ordered = [
+                    (lam, mu)
+                    for lam in parts
+                    for mu in parts
+                    if sum(lam) + ctx.dim - sum(mu) <= n + 1
+                ]
+                incomparable = sorted(
+                    (lam, mu) for lam, mu in ordered if not partition_contains(mu, lam)
+                )
+                unordered = sum(
+                    1
+                    for a, b in combinations_with_replacement(parts, 2)
+                    if sum(a) + sum(b) <= n + 1
+                )
+                report = verify_prop_comp(ctx)
+                assert report.hypothesis_count == len(ordered), ctx
+                assert list(report.exceptional_pairs) == incomparable, ctx
+                assert verify_thm_md(ctx).hypothesis_count == unordered, ctx
 
 
 class TestVerifyEgd:
