@@ -26,8 +26,8 @@ off-by-complement bugs.
 Box partitions are enumerated by weight: :func:`box_layer` gives the
 partitions of one weight, memoized per (context, weight), and
 :func:`box_partitions`, all C(n+1, k+1) of them, is the concatenation of
-the layers.  A search that needs only low weights reads only those
-layers.
+the layers, built on each call and not memoized itself.  A search that
+needs only low weights reads only those layers.
 
 Partitions are plain ``tuple[int, ...]`` of fixed length k+1 with
 explicit trailing zeros; symbols are plain 1-based tuples.  Parts, and
@@ -260,12 +260,12 @@ def box_layer(ctx: GrassmannContext, w: int) -> tuple[Partition, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def box_partitions(ctx: GrassmannContext) -> tuple[Partition, ...]:
     """All partitions in the (k+1) x (n-k) box, sorted by (weight, parts).
 
     There are C(n+1, k+1) of them: the concatenation of
-    ``box_layer(ctx, w)`` for w = 0, ..., dim.
+    ``box_layer(ctx, w)`` for w = 0, ..., dim, rebuilt on each call
+    from the memoized layers.
     """
     return tuple(chain.from_iterable(box_layer(ctx, w) for w in range(ctx.dim + 1)))
 

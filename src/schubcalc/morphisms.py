@@ -148,6 +148,7 @@ def classify(query: MorphismQuery) -> ClassificationOutcome:
 
 def classify_table(n: int) -> list[list[ClassificationOutcome]]:
     """The full (l, k) grid of classifications for fixed n, l indexing rows."""
+    (n,) = _integers("classification table n =", (n,))
     if n < 3:
         raise ValueError(f"classification table needs n >= 3, got {n}")
     return [

@@ -9,10 +9,12 @@ searches here therefore range over unordered pairs of box partitions
 
 * :func:`enumerate_zero_pairs` lists vanishing pairs up to a codimension
   bound;
-* :func:`compute_egd` finds the effective good divisibility, one less
-  than the minimal total codimension of a vanishing pair;
 * :func:`md_pairs` lists maximal disjoint pairs, the vanishing pairs of
-  total codimension egd + 1;
+  minimal total codimension; it is the one memoized search result;
+* :func:`compute_egd` reads the effective good divisibility off them,
+  one less than that minimal total codimension, and
+  :func:`search_report` reads its zero pairs off them too, since
+  nothing below that codimension vanishes;
 * :func:`verify_thm_md` and :func:`verify_prop_comp` are mechanical
   checks of the two classification claims this engine is built around,
   scanning their full hypothesis spaces and reporting counterexamples
@@ -22,13 +24,13 @@ Every pair scan runs through one kernel, ``_scan``, which reads only
 the weight layers (:func:`schubcalc.core.box_layer`) up to its
 codimension bound, n+1 for the claims, and never the whole box.  It
 tests each pair with the O(k) vanishing criterion as a containment
-check, ``a`` not inside ``dual(b)``, through the single predicate
+check, ``b`` not inside ``dual(a)``, through the single predicate
 ``_not_contained`` of :mod:`schubcalc.core`, which
 :func:`schubcalc.chow.pair_vanishes` uses as well.
 ``verify_prop_comp`` is the ordered reading of the same scan: lam is
 not inside mu exactly when ``sigma_lam * sigma_dual(mu)`` vanishes, so
 each unordered pair {a, b} is the two hypotheses (a, dual(b)) and
-(b, dual(a)); it reads no layer or dual layer itself.
+(b, dual(a)); it reads no layer itself.
 ``cross_validate`` recomputes every product through the
 Littlewood-Richardson route as well.  Pair enumeration is
 deterministic: partitions are ordered by (weight, parts) and unordered
@@ -133,31 +135,24 @@ class VerificationReport:
         return out
 
 
-@lru_cache(maxsize=None)
-def _dual_layer(ctx: GrassmannContext, w: int) -> tuple[Partition, ...]:
-    """Box duals of ``box_layer(ctx, w)``, position by position."""
-    cols = ctx.cols
-    return tuple(tuple([cols - x for x in reversed(p)]) for p in box_layer(ctx, w))
-
-
 def _scan(ctx: GrassmannContext, lo: int, hi: int):
     """Yield ``(a, b, vanishes)`` for every unordered basis pair with lo <= |a|+|b| <= hi.
 
     The scan kernel of every pair search.  It reads only the layers of
     weight <= hi; ``a`` runs through them in (weight, parts) order and
     ``b`` from ``a`` onward in the same order (self-pairs included).
-    Each pair is tested as ``a`` not contained in ``dual(b)``, with the
-    dual of every ``b`` computed once per context.
+    The product is symmetric, so each pair is tested as ``b`` not
+    contained in ``dual(a)``, with ``dual(a)`` computed once per ``a``.
     """
     not_contained = _not_contained
+    cols = ctx.cols
     layers = [box_layer(ctx, w) for w in range(hi + 1)]
-    duals = [_dual_layer(ctx, w) for w in range(hi + 1)]
     for wa in range(hi // 2 + 1):
         for i, a in enumerate(layers[wa]):
+            dual_a = tuple([cols - x for x in reversed(a)])
             for wb in range(max(wa, lo - wa), hi - wa + 1):
-                start = i if wb == wa else 0
-                for b, dual_b in zip(layers[wb][start:], duals[wb][start:]):
-                    yield a, b, not_contained(a, dual_b)
+                for b in layers[wb][i if wb == wa else 0:]:
+                    yield a, b, not_contained(b, dual_a)
 
 
 def enumerate_zero_pairs(
@@ -169,6 +164,7 @@ def enumerate_zero_pairs(
     (codim_sum, a, b).  ``cross_validate`` recomputes every scanned
     product via the LR rule and raises if the two routes ever disagree.
     """
+    (max_codim_sum,) = _integers("max_codim_sum", (max_codim_sum,))
     if not 0 <= max_codim_sum <= 2 * ctx.dim:
         raise ValueError(f"max_codim_sum {max_codim_sum} out of range for {ctx}")
     found: list[ZeroPair] = []
@@ -188,26 +184,29 @@ def enumerate_zero_pairs(
 
 
 @lru_cache(maxsize=None)
-def compute_egd(ctx: GrassmannContext) -> int:
-    """Effective good divisibility: minimal vanishing codim-sum minus one.
+def md_pairs(ctx: GrassmannContext) -> tuple[MdPair, ...]:
+    """All maximal disjoint basis pairs of ``ctx``, deterministically ordered.
 
-    Scans the pairs one total codimension at a time and stops at the
-    first vanishing one.  Equals n for every Grassmannian; that equality
-    is what the test suite verifies, it is not assumed here.
+    Scans the pairs one total codimension s = 0, 1, ... at a time and
+    returns the vanishing pairs of the first s that has any, sorted with
+    the smaller partition first.  The one memoized search result:
+    :func:`compute_egd` and :func:`search_report` read it.
     """
     for s in range(2 * ctx.dim + 1):
-        for _, _, vanishes in _scan(ctx, s, s):
-            if vanishes:
-                return s - 1
+        pairs = sorted((a, b) if a <= b else (b, a) for a, b, v in _scan(ctx, s, s) if v)
+        if pairs:
+            return tuple(MdPair(ctx, a, b) for a, b in pairs)
     raise RuntimeError(f"no vanishing pair found in {ctx}")  # unreachable: full box squares to zero
 
 
-@lru_cache(maxsize=None)
-def md_pairs(ctx: GrassmannContext) -> tuple[MdPair, ...]:
-    """All maximal disjoint basis pairs of ``ctx``, deterministically ordered."""
-    limit = compute_egd(ctx) + 1  # no pair below it vanishes
-    pairs = sorted((a, b) if a <= b else (b, a) for a, b, v in _scan(ctx, limit, limit) if v)
-    return tuple(MdPair(ctx, a, b) for a, b in pairs)
+def compute_egd(ctx: GrassmannContext) -> int:
+    """Effective good divisibility: minimal vanishing codim-sum minus one.
+
+    Read off the md-pairs, which sit at that minimal codim-sum.  Equals
+    n for every Grassmannian; that equality is what the test suite
+    verifies, it is not assumed here.
+    """
+    return sum(md_pairs(ctx)[0].codims) - 1
 
 
 def has_mdpair_of_type(ctx: GrassmannContext, pair_type) -> bool:
@@ -215,8 +214,6 @@ def has_mdpair_of_type(ctx: GrassmannContext, pair_type) -> bool:
     t = tuple(sorted(_integers("pair type", pair_type)))
     if len(t) != 2:
         raise ValueError(f"pair type must have two entries, got {pair_type}")
-    if t[0] + t[1] != compute_egd(ctx) + 1:
-        return False
     return any(p.pair_type == t for p in md_pairs(ctx))
 
 
@@ -231,18 +228,24 @@ def _pair_count(ctx: GrassmannContext, max_codim_sum: int) -> int:
 
 
 def search_report(ctx: GrassmannContext, cross_validate: bool = False) -> SearchReport:
-    """Full md-pair search: egd, zero pairs at the critical codimension, timing."""
+    """Full md-pair search: egd, zero pairs at the critical codimension, timing.
+
+    Nothing below egd + 1 vanishes, so the zero pairs are the md-pairs.
+    ``cross_validate`` first rescans every pair up to egd + 1 through
+    :func:`enumerate_zero_pairs`, which raises if the LR route disagrees.
+    """
     start = time.perf_counter()
+    pairs = md_pairs(ctx)
     egd = compute_egd(ctx)
     limit = egd + 1
-    zero = enumerate_zero_pairs(ctx, limit, cross_validate=cross_validate)
-    pairs = tuple(MdPair(ctx, a, b) for a, b, s in zero if s == limit)
+    if cross_validate:
+        enumerate_zero_pairs(ctx, limit, cross_validate=True)
     scanned = _pair_count(ctx, limit)
     elapsed_ms = int(round((time.perf_counter() - start) * 1000))
     return SearchReport(
         ctx=ctx,
         scanned_pair_count=scanned,
-        zero_pairs=tuple(zero),
+        zero_pairs=tuple((p.a, p.b, limit) for p in pairs),
         computed_egd=egd,
         md_pairs=pairs,
         elapsed_ms=elapsed_ms,

@@ -145,7 +145,7 @@ class TestMdPairsCommand:
     def test_cross_validation_disagreement_exits_one(self, capsys, monkeypatch):
         import schubcalc.search as search
 
-        # Fill the egd memo first, so the stubbed vanishing test cannot poison it.
+        # Fill the md_pairs memo first, so the stubbed vanishing test cannot poison it.
         search.compute_egd(search.GrassmannContext(1, 4))
         monkeypatch.setattr(search, "_not_contained", lambda *args: True)
         code, out, err = run(capsys, "mdpairs", "--k", "1", "--n", "4", "--cross-validate")

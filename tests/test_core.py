@@ -16,9 +16,11 @@ from schubcalc import (
     bruhat_leq,
     check_partition,
     check_symbol,
+    classify_table,
     dim_partition_to_symbol,
     dual_partition,
     dual_symbol,
+    enumerate_zero_pairs,
     has_mdpair_of_type,
     lr_coefficient,
     lr_fillings,
@@ -77,6 +79,10 @@ class TestIntegerParts:
             lambda: CycleClass(C13, {(1, 0): 1.5}),
             lambda: CycleClass(C13, {(1, 0): "2"}),
             lambda: lr_oracle((1,), (1,), 2.9),
+            lambda: enumerate_zero_pairs(C13, 7.0),
+            lambda: enumerate_zero_pairs(C13, "7"),
+            lambda: classify_table(5.0),
+            lambda: classify_table("5"),
         ],
         ids=[
             "lr_coefficient-float", "lr_coefficient-str", "lr_fillings-float",
@@ -85,7 +91,8 @@ class TestIntegerParts:
             "normalize_partition-str", "check_symbol-float", "dual_symbol-str",
             "has_mdpair_of_type-float", "has_mdpair_of_type-str", "context-float",
             "context-str", "query-float", "query-str", "coefficient-float",
-            "coefficient-str", "num_vars-float",
+            "coefficient-str", "num_vars-float", "zero_pair_bound-float",
+            "zero_pair_bound-str", "table_n-float", "table_n-str",
         ],
     )
     def test_non_integer_part_rejected(self, call):

@@ -134,6 +134,59 @@ class TestSearchReport:
         assert a == b
 
 
+class TestMdSearchAgainstBruteForce:
+    """egd, md-pairs and the search report rebuilt from the whole box by containment."""
+
+    def test_every_context_up_to_n9(self):
+        for n in range(1, 10):
+            for k in range(n):
+                ctx = GrassmannContext(k, n)
+                pairs = [
+                    (a, b, sum(a) + sum(b))
+                    for a, b in combinations_with_replacement(box_partitions(ctx), 2)
+                ]
+                zero = sorted(
+                    ((a, b, s) if a <= b else (b, a, s)
+                     for a, b, s in pairs
+                     if not partition_contains(dual_partition(ctx, b), a)),
+                    key=lambda t: (t[2], t[0], t[1]),
+                )
+                egd = zero[0][2] - 1
+                md = [(a, b) for a, b, s in zero if s == egd + 1]
+                report = search_report(ctx)
+                assert compute_egd(ctx) == report.computed_egd == egd, ctx
+                assert [(p.a, p.b) for p in md_pairs(ctx)] == md, ctx
+                assert [(p.a, p.b) for p in report.md_pairs] == md, ctx
+                assert list(report.zero_pairs) == [t for t in zero if t[2] <= egd + 1], ctx
+                assert report.scanned_pair_count == sum(1 for t in pairs if t[2] <= egd + 1), ctx
+
+
+class TestCrossValidatedReport:
+    def test_checks_every_scanned_pair_through_lr(self, monkeypatch):
+        import schubcalc.search as search
+
+        calls = [0]
+        real_multiply = search.multiply
+
+        def counting_multiply(*args):
+            calls[0] += 1
+            return real_multiply(*args)
+
+        monkeypatch.setattr(search, "multiply", counting_multiply)
+        for n in range(1, 7):
+            for k in range(n):
+                ctx = GrassmannContext(k, n)
+                calls[0] = 0
+                plain = search_report(ctx)
+                assert calls[0] == 0, ctx
+                checked = search_report(ctx, cross_validate=True)
+                assert calls[0] == checked.scanned_pair_count, ctx
+                a, b = plain.to_json_dict(), checked.to_json_dict()
+                a.pop("elapsed_ms")
+                b.pop("elapsed_ms")
+                assert a == b, ctx
+
+
 class TestVerifyThmMd:
     @pytest.mark.parametrize("k,n", [(2, 6), (2, 5), (1, 3), (3, 8)])
     def test_passes(self, k, n):
@@ -265,9 +318,7 @@ class TestShellOnly:
         monkeypatch.setattr(core, "box_partitions", refuse)
         monkeypatch.setattr(search, "box_partitions", refuse, raising=False)
         monkeypatch.setattr(search, "box_layer", recording_layer)
-        compute_egd.cache_clear()
         md_pairs.cache_clear()
-        search._dual_layer.cache_clear()
         ctx = GrassmannContext(k, n)
         expected = ((1,) * ctx.rows, (ctx.cols,) + (0,) * ctx.k)
         assert compute_egd(ctx) == n
