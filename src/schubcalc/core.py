@@ -24,10 +24,11 @@ The conversion between the two is a single call to
 off-by-complement bugs.
 
 Box partitions are enumerated by weight: :func:`box_layer` gives the
-partitions of one weight, memoized per (context, weight), and
-:func:`box_partitions`, all C(n+1, k+1) of them, is the concatenation of
-the layers, built on each call and not memoized itself.  A search that
-needs only low weights reads only those layers.
+partitions of one weight and :func:`box_partitions`, all C(n+1, k+1) of
+them, is the concatenation of the layers.  Neither is memoized; each
+call builds what it returns.  A search that needs only low weights
+builds only those layers, and ``_layer_sizes`` counts them (Gaussian
+binomial coefficients) without building any.
 
 Partitions are plain ``tuple[int, ...]`` of fixed length k+1 with
 explicit trailing zeros; symbols are plain 1-based tuples.  Parts, and
@@ -39,7 +40,6 @@ immutable, so everything here is safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain, combinations
 from operator import gt, index
 
@@ -235,15 +235,17 @@ def special_symbols(ctx: GrassmannContext) -> tuple[SchubertSymbol, SchubertSymb
     return i_h, i_p
 
 
-@lru_cache(maxsize=None)
 def box_layer(ctx: GrassmannContext, w: int) -> tuple[Partition, ...]:
     """The partitions in the (k+1) x (n-k) box of weight exactly ``w``, ascending.
 
-    Empty unless ``0 <= w <= dim``.  Parts are chosen row by row, each
-    from the smallest value the remaining rows can still make up to the
-    largest the row above allows, so the layer comes out sorted.  The
-    searches read only the low layers they need, never the whole box.
+    Empty unless ``0 <= w <= dim``; a ``w`` that is not an integer is a
+    ``ValueError``.  Parts are chosen row by row, each from the smallest
+    value the remaining rows can still make up to the largest the row
+    above allows, so the layer comes out sorted.  Built on each call,
+    not memoized: the searches build the low layers they need once per
+    scan, never the whole box.
     """
+    (w,) = _integers("weight", (w,))
     rows = ctx.rows
     if not 0 <= w <= ctx.dim:
         return ()
@@ -260,12 +262,28 @@ def box_layer(ctx: GrassmannContext, w: int) -> tuple[Partition, ...]:
     return tuple(out)
 
 
+def _layer_sizes(ctx: GrassmannContext, hi: int) -> list[int]:
+    """``len(box_layer(ctx, w))`` for w = 0, ..., hi, counted without building a layer.
+
+    The sizes are the coefficients of the Gaussian binomial
+    [n+1 choose k+1]_q = prod_{i=1..k+1} (1 - q^(n-k+i)) / (1 - q^i)
+    (Andrews, *The Theory of Partitions*, ch. 3), computed as a power
+    series cut after q^hi; they are 0 beyond dim.
+    """
+    sizes = [1] + [0] * hi
+    for i in range(1, ctx.rows + 1):
+        for w in range(hi, ctx.cols + i - 1, -1):  # times (1 - q^(cols+i))
+            sizes[w] -= sizes[w - ctx.cols - i]
+        for w in range(i, hi + 1):  # divided by (1 - q^i)
+            sizes[w] += sizes[w - i]
+    return sizes
+
+
 def box_partitions(ctx: GrassmannContext) -> tuple[Partition, ...]:
     """All partitions in the (k+1) x (n-k) box, sorted by (weight, parts).
 
     There are C(n+1, k+1) of them: the concatenation of
-    ``box_layer(ctx, w)`` for w = 0, ..., dim, rebuilt on each call
-    from the memoized layers.
+    ``box_layer(ctx, w)`` for w = 0, ..., dim, rebuilt on each call.
     """
     return tuple(chain.from_iterable(box_layer(ctx, w) for w in range(ctx.dim + 1)))
 

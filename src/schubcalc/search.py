@@ -10,27 +10,37 @@ searches here therefore range over unordered pairs of box partitions
 * :func:`enumerate_zero_pairs` lists vanishing pairs up to a codimension
   bound;
 * :func:`md_pairs` lists maximal disjoint pairs, the vanishing pairs of
-  minimal total codimension; it is the one memoized search result;
+  minimal total codimension;
 * :func:`compute_egd` reads the effective good divisibility off them,
   one less than that minimal total codimension, and
   :func:`search_report` reads its zero pairs off them too, since
   nothing below that codimension vanishes;
 * :func:`verify_thm_md` and :func:`verify_prop_comp` are mechanical
   checks of the two classification claims this engine is built around,
-  scanning their full hypothesis spaces and reporting counterexamples
+  over their full hypothesis spaces, reporting counterexamples
   (expected: none).
 
-Every pair scan runs through one kernel, ``_scan``, which reads only
+The md-pairs, egd and prop-comp all come from one set of pairs, the
+*shell zeros*: the vanishing pairs with codimension sum <= n+1.  The
+pair {(1, ..., 1), (n-k, 0, ..., 0)} vanishes at n+1 in every G(k, n),
+so the md-pairs always lie in that shell; the bound does not assume
+egd = n, and a pair vanishing lower would be reported.
+``_shell_zeros`` is the one memoized search result, a few pairs per
+context, so every reader of the shell shares one scan.
+
+Every pair scan runs through one kernel, ``_scan``, which builds only
 the weight layers (:func:`schubcalc.core.box_layer`) up to its
-codimension bound, n+1 for the claims, and never the whole box.  It
-tests each pair with the O(k) vanishing criterion as a containment
-check, ``b`` not inside ``dual(a)``, through the single predicate
-``_not_contained`` of :mod:`schubcalc.core`, which
-:func:`schubcalc.chow.pair_vanishes` uses as well.
-``verify_prop_comp`` is the ordered reading of the same scan: lam is
-not inside mu exactly when ``sigma_lam * sigma_dual(mu)`` vanishes, so
-each unordered pair {a, b} is the two hypotheses (a, dual(b)) and
-(b, dual(a)); it reads no layer itself.
+codimension bound, n+1 for the claims, and keeps them only while it
+runs.  It counts its pairs first (``_pair_count``, from the layer sizes
+``core._layer_sizes``, no layer built) and refuses a scan of more than
+``MAX_SCAN_PAIRS`` pairs with a ``ValueError``.  It tests each pair with
+the O(k) vanishing criterion as a containment check, ``b`` not inside
+``dual(a)``, through the single predicate ``_not_contained`` of
+:mod:`schubcalc.core`, which :func:`schubcalc.chow.pair_vanishes` uses
+as well.  ``verify_prop_comp`` is the ordered reading of the shell
+zeros: lam is not inside mu exactly when ``sigma_lam * sigma_dual(mu)``
+vanishes, so each unordered pair {a, b} is the two hypotheses
+(a, dual(b)) and (b, dual(a)); it scans nothing itself.
 ``cross_validate`` recomputes every product through the
 Littlewood-Richardson route as well.  Pair enumeration is
 deterministic: partitions are ordered by (weight, parts) and unordered
@@ -45,10 +55,17 @@ from functools import lru_cache
 
 from schubcalc.chow import multiply, schubert_class
 from schubcalc.core import (
-    GrassmannContext, Partition, _integers, _not_contained, box_layer, dual_partition
+    GrassmannContext, Partition, _integers, _layer_sizes, _not_contained, box_layer,
+    dual_partition,
 )
 
 ZeroPair = tuple[Partition, Partition, int]
+
+# The most unordered basis pairs one scan may test.  It admits every
+# G(k, n) with n <= 36 at the claims' bound n+1, G(14, 30) (1,455,537
+# pairs, a few seconds) included; a larger request is a usage error
+# before any layer is built, not an out-of-memory crash or a hang.
+MAX_SCAN_PAIRS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -135,22 +152,30 @@ class VerificationReport:
         return out
 
 
-def _scan(ctx: GrassmannContext, lo: int, hi: int):
-    """Yield ``(a, b, vanishes)`` for every unordered basis pair with lo <= |a|+|b| <= hi.
+def _scan(ctx: GrassmannContext, hi: int):
+    """Yield ``(a, b, vanishes)`` for every unordered basis pair with |a|+|b| <= hi.
 
-    The scan kernel of every pair search.  It reads only the layers of
-    weight <= hi; ``a`` runs through them in (weight, parts) order and
-    ``b`` from ``a`` onward in the same order (self-pairs included).
-    The product is symmetric, so each pair is tested as ``b`` not
-    contained in ``dual(a)``, with ``dual(a)`` computed once per ``a``.
+    The scan kernel of every pair search.  It first counts the pairs
+    and raises ``ValueError`` if there are more than ``MAX_SCAN_PAIRS``;
+    then it builds the layers of weight <= hi, which live as long as the
+    scan.  ``a`` runs through them in (weight, parts) order and ``b``
+    from ``a`` onward in the same order (self-pairs included).  The
+    product is symmetric, so each pair is tested as ``b`` not contained
+    in ``dual(a)``, with ``dual(a)`` computed once per ``a``.
     """
+    count = _pair_count(ctx, hi)
+    if count > MAX_SCAN_PAIRS:
+        raise ValueError(
+            f"{ctx} has {count} basis pairs with codim sum <= {hi}, "
+            f"over the scan limit of {MAX_SCAN_PAIRS}"
+        )
     not_contained = _not_contained
     cols = ctx.cols
     layers = [box_layer(ctx, w) for w in range(hi + 1)]
     for wa in range(hi // 2 + 1):
         for i, a in enumerate(layers[wa]):
             dual_a = tuple([cols - x for x in reversed(a)])
-            for wb in range(max(wa, lo - wa), hi - wa + 1):
+            for wb in range(wa, hi - wa + 1):
                 for b in layers[wb][i if wb == wa else 0:]:
                     yield a, b, not_contained(b, dual_a)
 
@@ -168,7 +193,7 @@ def enumerate_zero_pairs(
     if not 0 <= max_codim_sum <= 2 * ctx.dim:
         raise ValueError(f"max_codim_sum {max_codim_sum} out of range for {ctx}")
     found: list[ZeroPair] = []
-    for a, b, vanishes in _scan(ctx, 0, max_codim_sum):
+    for a, b, vanishes in _scan(ctx, max_codim_sum):
         if cross_validate:
             lr_zero = not multiply(schubert_class(ctx, a), schubert_class(ctx, b))
             if lr_zero != vanishes:
@@ -184,27 +209,31 @@ def enumerate_zero_pairs(
 
 
 @lru_cache(maxsize=None)
+def _shell_zeros(ctx: GrassmannContext) -> tuple[ZeroPair, ...]:
+    """The vanishing basis pairs with codim sum <= n+1: the one memoized search result."""
+    return tuple(enumerate_zero_pairs(ctx, ctx.n + 1))
+
+
 def md_pairs(ctx: GrassmannContext) -> tuple[MdPair, ...]:
     """All maximal disjoint basis pairs of ``ctx``, deterministically ordered.
 
-    Scans the pairs one total codimension s = 0, 1, ... at a time and
-    returns the vanishing pairs of the first s that has any, sorted with
-    the smaller partition first.  The one memoized search result:
-    :func:`compute_egd` and :func:`search_report` read it.
+    The shell zeros of the smallest codimension sum, the smaller
+    partition of each pair first.  The shell always holds a zero, since
+    {[X_H], [X_p]} vanishes at n+1; if it holds none, the vanishing
+    predicate is broken and this raises ``RuntimeError``.
     """
-    for s in range(2 * ctx.dim + 1):
-        pairs = sorted((a, b) if a <= b else (b, a) for a, b, v in _scan(ctx, s, s) if v)
-        if pairs:
-            return tuple(MdPair(ctx, a, b) for a, b in pairs)
-    raise RuntimeError(f"no vanishing pair found in {ctx}")  # unreachable: full box squares to zero
+    zeros = _shell_zeros(ctx)
+    if not zeros:
+        raise RuntimeError(f"no vanishing pair with codim sum <= {ctx.n + 1} in {ctx}")
+    return tuple(MdPair(ctx, a, b) for a, b, s in zeros if s == zeros[0][2])
 
 
 def compute_egd(ctx: GrassmannContext) -> int:
     """Effective good divisibility: minimal vanishing codim-sum minus one.
 
-    Read off the md-pairs, which sit at that minimal codim-sum.  Equals
-    n for every Grassmannian; that equality is what the test suite
-    verifies, it is not assumed here.
+    Read off the md-pairs, which sit at that minimal codim-sum in the
+    shell of codim sum <= n+1.  Equals n for every Grassmannian; that
+    equality is what the test suite verifies, it is not assumed here.
     """
     return sum(md_pairs(ctx)[0].codims) - 1
 
@@ -218,8 +247,11 @@ def has_mdpair_of_type(ctx: GrassmannContext, pair_type) -> bool:
 
 
 def _pair_count(ctx: GrassmannContext, max_codim_sum: int) -> int:
-    """Number of unordered basis pairs (self-pairs included) with codim sum <= bound."""
-    cnt = [len(box_layer(ctx, w)) for w in range(max_codim_sum + 1)]
+    """Number of unordered basis pairs (self-pairs included) with codim sum <= bound.
+
+    Counted from the layer sizes, without building a layer.
+    """
+    cnt = _layer_sizes(ctx, max_codim_sum)
     scanned = 0
     for wa in range(max_codim_sum // 2 + 1):
         scanned += cnt[wa] * (cnt[wa] + 1) // 2
@@ -269,7 +301,7 @@ def verify_thm_md(ctx: GrassmannContext) -> VerificationReport:
     counterexamples: list[dict] = []
     zero_found: list[tuple[Partition, Partition]] = []
     scanned = 0
-    for a, b, fast in _scan(ctx, 0, limit):
+    for a, b, fast in _scan(ctx, limit):
         scanned += 1
         lr_zero = not multiply(schubert_class(ctx, a), schubert_class(ctx, b))
         if fast != lr_zero:
@@ -315,25 +347,25 @@ def verify_prop_comp(ctx: GrassmannContext) -> VerificationReport:
 
     The bound is ``|lam| + |dual(mu)| <= n+1`` and lam is not inside mu
     exactly when ``sigma_lam * sigma_dual(mu)`` vanishes, so this is the
-    ordered reading of ``_scan(ctx, 0, n+1)``: each unordered pair
-    {a, b} stands for the hypotheses (a, dual(b)) and (b, dual(a)), a
-    self-pair for one, and the two exceptional pairs are the two
-    orderings of Theorem md's pair {[X_H], [X_p]}.
+    ordered reading of the shell of codim sum <= n+1: each unordered
+    pair {a, b} stands for the hypotheses (a, dual(b)) and (b, dual(a)),
+    a self-pair for one.  The hypotheses are counted from the layer
+    sizes, the exceptional pairs are the shell zeros read in both
+    orders, and the two expected ones are the two orderings of Theorem
+    md's pair {[X_H], [X_p]}.  Runs no scan of its own.
     """
     _require_interior(ctx)
-    rows, cols = ctx.rows, ctx.cols
+    rows, cols, limit = ctx.rows, ctx.cols, ctx.n + 1
     expected = {
         ((cols,) + (0,) * (rows - 1), (cols - 1,) * rows),
         ((1,) * rows, (cols,) * (rows - 1) + (0,)),
     }
     exceptional: list[tuple[Partition, Partition]] = []
-    hypothesis_count = 0
-    for a, b, incomparable in _scan(ctx, 0, ctx.n + 1):
-        hypothesis_count += 1 if a == b else 2
-        if incomparable:
-            exceptional.append((a, dual_partition(ctx, b)))
-            if a != b:
-                exceptional.append((b, dual_partition(ctx, a)))
+    for a, b, _ in _shell_zeros(ctx):
+        exceptional.append((a, dual_partition(ctx, b)))
+        if a != b:
+            exceptional.append((b, dual_partition(ctx, a)))
+    hypothesis_count = 2 * _pair_count(ctx, limit) - sum(_layer_sizes(ctx, limit // 2))
     counterexamples = [
         {"kind": "incomparable-but-unexpected", "lambda": list(lam), "mu": list(mu)}
         for lam, mu in exceptional

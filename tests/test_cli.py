@@ -145,7 +145,7 @@ class TestMdPairsCommand:
     def test_cross_validation_disagreement_exits_one(self, capsys, monkeypatch):
         import schubcalc.search as search
 
-        # Fill the md_pairs memo first, so the stubbed vanishing test cannot poison it.
+        # Fill the _shell_zeros memo first, so the stubbed vanishing test cannot poison it.
         search.compute_egd(search.GrassmannContext(1, 4))
         monkeypatch.setattr(search, "_not_contained", lambda *args: True)
         code, out, err = run(capsys, "mdpairs", "--k", "1", "--n", "4", "--cross-validate")
@@ -159,6 +159,19 @@ class TestEgdCommand:
         code, out, _ = run(capsys, "egd", "--k", "2", "--n", "6", "--format", "json")
         assert code == 0
         assert json.loads(out) == {"k": 2, "n": 6, "egd": 6}
+
+    def test_oversized_request_exits_two_before_building_a_layer(self, capsys, monkeypatch):
+        import schubcalc.search as search
+
+        def refuse(ctx, w):
+            raise AssertionError(f"box_layer({ctx}, {w}) built for an oversized request")
+
+        monkeypatch.setattr(search, "box_layer", refuse)
+        code, out, err = run(capsys, "egd", "--k", "30", "--n", "60")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: G(30,60) has 3000205515 basis pairs")
+        assert str(search.MAX_SCAN_PAIRS) in err
 
 
 class TestVerifyCommand:

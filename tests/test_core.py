@@ -83,6 +83,8 @@ class TestIntegerParts:
             lambda: enumerate_zero_pairs(C13, "7"),
             lambda: classify_table(5.0),
             lambda: classify_table("5"),
+            lambda: box_layer(GrassmannContext(2, 5), 2.5),
+            lambda: box_layer(GrassmannContext(2, 5), "3"),
         ],
         ids=[
             "lr_coefficient-float", "lr_coefficient-str", "lr_fillings-float",
@@ -93,6 +95,7 @@ class TestIntegerParts:
             "context-str", "query-float", "query-str", "coefficient-float",
             "coefficient-str", "num_vars-float", "zero_pair_bound-float",
             "zero_pair_bound-str", "table_n-float", "table_n-str",
+            "box_layer-float", "box_layer-str",
         ],
     )
     def test_non_integer_part_rejected(self, call):
@@ -282,6 +285,15 @@ class TestBoxLayer:
     def test_out_of_range_weights_are_empty(self):
         assert box_layer(C26, -1) == ()
         assert box_layer(C26, C26.dim + 1) == ()
+
+    def test_layer_sizes_count_the_layers(self):
+        from schubcalc.core import _layer_sizes
+
+        for ctx in small_contexts(12):
+            sizes = _layer_sizes(ctx, 2 * ctx.dim)
+            assert sizes[:ctx.dim + 1] == [len(box_layer(ctx, w)) for w in range(ctx.dim + 1)]
+            assert sizes[ctx.dim + 1:] == [0] * ctx.dim, ctx
+            assert _layer_sizes(ctx, ctx.n + 1) == sizes[:ctx.n + 2], ctx
 
     def test_box_partitions_is_their_concatenation(self):
         for ctx in small_contexts(9):

@@ -1,12 +1,18 @@
 """Zero-pair enumeration, effective good divisibility and claim verification."""
 
+import re
+import sys
+from collections import Counter
 from itertools import combinations_with_replacement
+from math import comb
+from pathlib import Path
 
 import pytest
 
 from schubcalc import (
     GrassmannContext,
     box_partitions,
+    classify_table,
     compute_egd,
     dual_partition,
     enumerate_zero_pairs,
@@ -220,9 +226,15 @@ class TestVerifyPropComp:
         with pytest.raises(ValueError):
             verify_prop_comp(GrassmannContext(3, 4))
 
+    @staticmethod
+    def bypass_shell_memo(monkeypatch, search):
+        """Scan through the stubbed predicate without reading or filling ``_shell_zeros``."""
+        monkeypatch.setattr(search, "_shell_zeros", search._shell_zeros.__wrapped__)
+
     def test_unexpected_incomparability_reported(self, monkeypatch):
         import schubcalc.search as search
 
+        self.bypass_shell_memo(monkeypatch, search)
         monkeypatch.setattr(search, "_not_contained", lambda *args: True)
         report = verify_prop_comp(C13)
         assert not report.passed
@@ -235,6 +247,7 @@ class TestVerifyPropComp:
     def test_missing_expected_pairs_reported_once(self, monkeypatch):
         import schubcalc.search as search
 
+        self.bypass_shell_memo(monkeypatch, search)
         monkeypatch.setattr(search, "_not_contained", lambda *args: False)
         report = verify_prop_comp(C13)
         assert not report.passed
@@ -318,7 +331,7 @@ class TestShellOnly:
         monkeypatch.setattr(core, "box_partitions", refuse)
         monkeypatch.setattr(search, "box_partitions", refuse, raising=False)
         monkeypatch.setattr(search, "box_layer", recording_layer)
-        md_pairs.cache_clear()
+        search._shell_zeros.cache_clear()
         ctx = GrassmannContext(k, n)
         expected = ((1,) * ctx.rows, (ctx.cols,) + (0,) * ctx.k)
         assert compute_egd(ctx) == n
@@ -328,3 +341,88 @@ class TestShellOnly:
         assert verify_prop_comp(ctx).passed
         assert verify_thm_md(ctx).passed
         assert max(weights_read) == n + 1  # the shell, far below dim
+
+
+class TestOneShellScan:
+    """Every reader of the shell shares one memoized scan; counts need no layer."""
+
+    def test_pair_count_of_whole_box_builds_no_layer(self, monkeypatch):
+        import schubcalc.core as core
+        import schubcalc.search as search
+
+        def refuse(ctx, w):
+            raise AssertionError(f"box_layer({ctx}, {w}) built to count pairs")
+
+        monkeypatch.setattr(core, "box_layer", refuse)
+        monkeypatch.setattr(search, "box_layer", refuse)
+        for n in range(1, 13):
+            for k in range(n):
+                ctx = GrassmannContext(k, n)
+                size = comb(n + 1, k + 1)
+                assert search._pair_count(ctx, 2 * ctx.dim) == size * (size + 1) // 2, ctx
+
+    def test_claims_on_one_context_make_one_scan(self, monkeypatch):
+        import schubcalc.search as search
+
+        scans = Counter()
+        real_scan = search._scan
+
+        def counting_scan(ctx, hi):
+            scans[ctx] += 1
+            return real_scan(ctx, hi)
+
+        monkeypatch.setattr(search, "_scan", counting_scan)
+        search._shell_zeros.cache_clear()
+        ctx = GrassmannContext(2, 5)
+        assert verify_prop_comp(ctx).passed
+        assert verify_egd(ctx).passed
+        assert len(md_pairs(ctx)) == 1
+        assert compute_egd(ctx) == 5
+        assert has_mdpair_of_type(ctx, (3, 3))
+        assert search_report(ctx).computed_egd == 5
+        classify_table(5)  # asks the domains G(1,5), G(2,5) and G(3,5)
+        assert scans == {GrassmannContext(l, 5): 1 for l in (1, 2, 3)}
+
+
+class TestScanLimit:
+    def test_every_context_up_to_n36_is_accepted(self):
+        import schubcalc.search as search
+
+        for n in range(1, 37):
+            for k in range(n):
+                assert search._pair_count(GrassmannContext(k, n), n + 1) <= search.MAX_SCAN_PAIRS
+        assert search._pair_count(GrassmannContext(14, 30), 31) == 1_455_537
+
+    def test_oversized_scan_is_refused_by_name(self):
+        import schubcalc.search as search
+
+        ctx = GrassmannContext(18, 37)
+        with pytest.raises(ValueError, match=r"G\(18,37\) has 10948109 basis pairs .* 10000000"):
+            compute_egd(ctx)
+        with pytest.raises(ValueError, match="over the scan limit"):
+            verify_thm_md(ctx)
+
+
+class TestMemoInventory:
+    """The package memos, found by introspection, are the ones the README names."""
+
+    @staticmethod
+    def package_memos():
+        import schubcalc.cli  # noqa: F401  every module loaded
+
+        return {
+            f"{name.rpartition('.')[2]}.{attr}"
+            for name, mod in sorted(sys.modules.items())
+            if mod is not None and (name == "schubcalc" or name.startswith("schubcalc."))
+            for attr, obj in vars(mod).items()
+            if callable(getattr(obj, "cache_info", None))
+            and getattr(obj, "__module__", None) == mod.__name__
+        }
+
+    def test_memos_are_the_documented_three(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        paragraph = readme[readme.index("The only shared state is"):].split("\n\n")[0]
+        documented = set(re.findall(r"`(\w+\.\w+)`", paragraph))
+        assert self.package_memos() == documented == {
+            "search._shell_zeros", "chow._basis_product", "schur._kostka_row"
+        }
