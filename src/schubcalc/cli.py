@@ -33,6 +33,7 @@ from schubcalc.core import (
 )
 from schubcalc.morphisms import MorphismQuery, classify, classify_table, table_text
 from schubcalc.search import (
+    _check_scan_size,
     compute_egd,
     search_report,
     verify_egd,
@@ -243,14 +244,14 @@ def _cmd_egd(args):
 
 def _verify_contexts(claim: str, max_n: int):
     if claim == "egd-sweep":
-        return [
+        return (
             GrassmannContext(k, n) for n in range(1, max_n + 1) for k in range(n)
-        ]
-    return [
+        )
+    return (
         GrassmannContext(k, n)
         for n in range(3, max_n + 1)
         for k in range(1, n - 1)
-    ]
+    )
 
 
 def _cmd_verify(args):
@@ -269,7 +270,12 @@ def _cmd_verify(args):
         payload = report.to_json_dict()
     else:
         max_n = args.max_n if args.max_n is not None else (8 if claim == "thm-md" else 10)
-        contexts = _verify_contexts(claim, max_n)
+        # Refuse an oversized sweep before checking its first context, and
+        # before building the rest of a range that may be arbitrarily large.
+        contexts = []
+        for ctx in _verify_contexts(claim, max_n):
+            _check_scan_size(ctx, ctx.n + 1)
+            contexts.append(ctx)
         if not contexts:  # a sweep over nothing must not report "pass"
             raise ValueError(f"--max-n {max_n} leaves no context to check for {claim}")
         fn = checker["egd" if claim == "egd-sweep" else claim]

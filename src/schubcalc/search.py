@@ -20,31 +20,38 @@ searches here therefore range over unordered pairs of box partitions
   over their full hypothesis spaces, reporting counterexamples
   (expected: none).
 
-The md-pairs, egd and prop-comp all come from one set of pairs, the
+The md-pairs, egd and both claims all come from one set of pairs, the
 *shell zeros*: the vanishing pairs with codimension sum <= n+1.  The
 pair {(1, ..., 1), (n-k, 0, ..., 0)} vanishes at n+1 in every G(k, n),
 so the md-pairs always lie in that shell; the bound does not assume
 egd = n, and a pair vanishing lower would be reported.
 ``_shell_zeros`` is the one memoized search result, a few pairs per
-context, so every reader of the shell shares one scan.
+context, so every reader of the shell shares one scan.  thm-md reads
+the shell zeros plus one Littlewood-Richardson cross-check,
+``_lr_disagreements``, which multiplies every pair of the shell through
+:func:`schubcalc.chow.multiply` and yields the pairs where that product
+and the vanishing test disagree; it is the only code here that
+multiplies, and ``search_report(cross_validate=True)`` runs it too.
 
 Every pair scan runs through one kernel, ``_scan``, which builds only
 the weight layers (:func:`schubcalc.core.box_layer`) up to its
 codimension bound, n+1 for the claims, and keeps them only while it
 runs.  It counts its pairs first (``_pair_count``, from the layer sizes
 ``core._layer_sizes``, no layer built) and refuses a scan of more than
-``MAX_SCAN_PAIRS`` pairs with a ``ValueError``.  It tests each pair with
-the O(k) vanishing criterion as a containment check, ``b`` not inside
-``dual(a)``, through the single predicate ``_not_contained`` of
-:mod:`schubcalc.core`, which :func:`schubcalc.chow.pair_vanishes` uses
-as well.  ``verify_prop_comp`` is the ordered reading of the shell
-zeros: lam is not inside mu exactly when ``sigma_lam * sigma_dual(mu)``
-vanishes, so each unordered pair {a, b} is the two hypotheses
-(a, dual(b)) and (b, dual(a)); it scans nothing itself.
-``cross_validate`` recomputes every product through the
-Littlewood-Richardson route as well.  Pair enumeration is
-deterministic: partitions are ordered by (weight, parts) and unordered
-pairs are canonicalized with the smaller partition first.
+``MAX_SCAN_PAIRS`` pairs with a ``ValueError`` (``_check_scan_size``,
+which the CLI also runs on every context of a sweep before checking
+the first).  It tests each pair with the O(k) vanishing criterion as a
+containment check, ``b`` not inside ``dual(a)``, through the single
+predicate ``_not_contained`` of :mod:`schubcalc.core`, which
+:func:`schubcalc.chow.pair_vanishes` uses as well.
+``verify_prop_comp`` is the ordered reading of the shell zeros: lam is
+not inside mu exactly when ``sigma_lam * sigma_dual(mu)`` vanishes, so
+each unordered pair {a, b} is the two hypotheses (a, dual(b)) and
+(b, dual(a)); it scans nothing itself.  Theorem md's pair and that
+ordered reading are each written once (``_md_pair``, ``_orderings``),
+and so is the pass rule of the claims (``_report``).  Pair enumeration
+is deterministic: partitions are ordered by (weight, parts) and
+unordered pairs are canonicalized with the smaller partition first.
 """
 
 from __future__ import annotations
@@ -152,16 +159,12 @@ class VerificationReport:
         return out
 
 
-def _scan(ctx: GrassmannContext, hi: int):
-    """Yield ``(a, b, vanishes)`` for every unordered basis pair with |a|+|b| <= hi.
+def _check_scan_size(ctx: GrassmannContext, hi: int) -> None:
+    """Raise ``ValueError`` if ``ctx`` has more than ``MAX_SCAN_PAIRS`` pairs up to ``hi``.
 
-    The scan kernel of every pair search.  It first counts the pairs
-    and raises ``ValueError`` if there are more than ``MAX_SCAN_PAIRS``;
-    then it builds the layers of weight <= hi, which live as long as the
-    scan.  ``a`` runs through them in (weight, parts) order and ``b``
-    from ``a`` onward in the same order (self-pairs included).  The
-    product is symmetric, so each pair is tested as ``b`` not contained
-    in ``dual(a)``, with ``dual(a)`` computed once per ``a``.
+    Counted from the layer sizes, without building a layer.  ``_scan``
+    calls it before each scan, and the CLI on every context of a sweep
+    before checking the first.
     """
     count = _pair_count(ctx, hi)
     if count > MAX_SCAN_PAIRS:
@@ -169,6 +172,20 @@ def _scan(ctx: GrassmannContext, hi: int):
             f"{ctx} has {count} basis pairs with codim sum <= {hi}, "
             f"over the scan limit of {MAX_SCAN_PAIRS}"
         )
+
+
+def _scan(ctx: GrassmannContext, hi: int):
+    """Yield ``(a, b, vanishes)`` for every unordered basis pair with |a|+|b| <= hi.
+
+    The scan kernel of every pair search.  It first refuses an oversized
+    scan (``_check_scan_size``); then it builds the layers of weight
+    <= hi, which live as long as the scan.  ``a`` runs through them in
+    (weight, parts) order and ``b`` from ``a`` onward in the same order
+    (self-pairs included).  The product is symmetric, so each pair is
+    tested as ``b`` not contained in ``dual(a)``, with ``dual(a)``
+    computed once per ``a``.
+    """
+    _check_scan_size(ctx, hi)
     not_contained = _not_contained
     cols = ctx.cols
     layers = [box_layer(ctx, w) for w in range(hi + 1)]
@@ -180,27 +197,31 @@ def _scan(ctx: GrassmannContext, hi: int):
                     yield a, b, not_contained(b, dual_a)
 
 
-def enumerate_zero_pairs(
-    ctx: GrassmannContext, max_codim_sum: int, cross_validate: bool = False
-) -> list[ZeroPair]:
+def _lr_disagreements(ctx: GrassmannContext, hi: int):
+    """Yield ``(a, b, fast)`` for every scanned pair whose LR product disagrees.
+
+    ``fast`` is the Bruhat verdict of ``_scan``; the pair is yielded when
+    whether the full Littlewood-Richardson product is zero differs from
+    ``fast``.  The one LR cross-check of this module: every pair up to
+    ``hi`` is multiplied, and nothing is yielded when the two routes
+    agree.
+    """
+    for a, b, fast in _scan(ctx, hi):
+        if (not multiply(schubert_class(ctx, a), schubert_class(ctx, b))) != fast:
+            yield a, b, fast
+
+
+def enumerate_zero_pairs(ctx: GrassmannContext, max_codim_sum: int) -> list[ZeroPair]:
     """All unordered basis pairs {a, b} with |a|+|b| <= bound and zero product.
 
     Returns triples ``(a, b, codim_sum)`` with a <= b, sorted by
-    (codim_sum, a, b).  ``cross_validate`` recomputes every scanned
-    product via the LR rule and raises if the two routes ever disagree.
+    (codim_sum, a, b).  Decided by the Bruhat vanishing test alone.
     """
     (max_codim_sum,) = _integers("max_codim_sum", (max_codim_sum,))
     if not 0 <= max_codim_sum <= 2 * ctx.dim:
         raise ValueError(f"max_codim_sum {max_codim_sum} out of range for {ctx}")
     found: list[ZeroPair] = []
     for a, b, vanishes in _scan(ctx, max_codim_sum):
-        if cross_validate:
-            lr_zero = not multiply(schubert_class(ctx, a), schubert_class(ctx, b))
-            if lr_zero != vanishes:
-                raise RuntimeError(
-                    f"vanishing criterion disagrees with LR product on "
-                    f"{a} x {b} in {ctx}: fast={vanishes}, lr={lr_zero}"
-                )
         if vanishes:
             s = sum(a) + sum(b)
             found.append((a, b, s) if a <= b else (b, a, s))
@@ -263,15 +284,20 @@ def search_report(ctx: GrassmannContext, cross_validate: bool = False) -> Search
     """Full md-pair search: egd, zero pairs at the critical codimension, timing.
 
     Nothing below egd + 1 vanishes, so the zero pairs are the md-pairs.
-    ``cross_validate`` first rescans every pair up to egd + 1 through
-    :func:`enumerate_zero_pairs`, which raises if the LR route disagrees.
+    ``cross_validate`` also multiplies every pair up to egd + 1 through
+    the LR rule (``_lr_disagreements``) and raises ``RuntimeError`` on
+    the first pair where it disagrees with the Bruhat test.
     """
     start = time.perf_counter()
     pairs = md_pairs(ctx)
     egd = compute_egd(ctx)
     limit = egd + 1
     if cross_validate:
-        enumerate_zero_pairs(ctx, limit, cross_validate=True)
+        for a, b, fast in _lr_disagreements(ctx, limit):
+            raise RuntimeError(
+                f"vanishing criterion disagrees with LR product on "
+                f"{a} x {b} in {ctx}: fast={fast}, lr={not fast}"
+            )
     scanned = _pair_count(ctx, limit)
     elapsed_ms = int(round((time.perf_counter() - start) * 1000))
     return SearchReport(
@@ -289,51 +315,69 @@ def _require_interior(ctx: GrassmannContext) -> None:
         raise ValueError(f"claim requires 1 <= k <= n-2, got {ctx}")
 
 
+def _md_pair(ctx: GrassmannContext) -> tuple[Partition, Partition]:
+    """Theorem md's pair {[X_H], [X_p]}: ((1, ..., 1), (n-k, 0, ..., 0)).
+
+    Smaller partition first in every interior G(k, n), where n-k >= 2.
+    """
+    return (1,) * ctx.rows, (ctx.cols,) + (0,) * (ctx.rows - 1)
+
+
+def _orderings(ctx: GrassmannContext, a: Partition, b: Partition) -> tuple:
+    """The ordered prop-comp hypotheses of the unordered pair {a, b}.
+
+    (a, dual(b)), and (b, dual(a)) too unless the pair is a self-pair.
+    """
+    if a == b:
+        return ((a, dual_partition(ctx, b)),)
+    return (a, dual_partition(ctx, b)), (b, dual_partition(ctx, a))
+
+
+def _report(
+    claim: str, ctx: GrassmannContext, counterexamples, hypothesis_count: int,
+    exceptional_pairs=None,
+) -> VerificationReport:
+    """The report of one claim on ``ctx``: it passes exactly when no counterexample is found."""
+    return VerificationReport(
+        claim=claim,
+        k=ctx.k,
+        n=ctx.n,
+        status="fail" if counterexamples else "pass",
+        counterexamples=tuple(counterexamples),
+        hypothesis_count=hypothesis_count,
+        exceptional_pairs=exceptional_pairs,
+    )
+
+
 def verify_thm_md(ctx: GrassmannContext) -> VerificationReport:
     """Check: the only vanishing basis pair with codim-sum <= n+1 is {[X_H], [X_p]}.
 
-    Scans every unordered basis pair in range, computing the product
-    with BOTH the Bruhat test and the LR rule; any disagreement or any
-    unexpected (missing) zero pair is a counterexample.
+    Reads the zero pairs off the shell zeros (the Bruhat test) and
+    multiplies every pair of the shell once more through the LR rule
+    (``_lr_disagreements``).  Each pair where the two routes disagree
+    is a ``fast-vs-lr-mismatch``; each shell zero other than Theorem
+    md's pair is an ``unexpected-zero-pair``, and that pair's absence a
+    ``missing-expected-pair``.  When the routes agree on every pair
+    their zero sets are equal, so a pass means both find only that pair.
     """
     _require_interior(ctx)
-    cols, limit = ctx.cols, ctx.n + 1
-    counterexamples: list[dict] = []
-    zero_found: list[tuple[Partition, Partition]] = []
-    scanned = 0
-    for a, b, fast in _scan(ctx, limit):
-        scanned += 1
-        lr_zero = not multiply(schubert_class(ctx, a), schubert_class(ctx, b))
-        if fast != lr_zero:
-            counterexamples.append(
-                {"kind": "fast-vs-lr-mismatch", "a": list(a), "b": list(b)}
-            )
-        if lr_zero:
-            zero_found.append((a, b) if a <= b else (b, a))
-    expected = tuple(
-        sorted([(1,) * ctx.rows, (cols,) + (0,) * (ctx.rows - 1)])
-    )
-    for a, b in zero_found:
-        if (a, b) != expected:
-            counterexamples.append(
-                {"kind": "unexpected-zero-pair", "a": list(a), "b": list(b)}
-            )
-    if expected not in zero_found:
+    limit = ctx.n + 1
+    expected = _md_pair(ctx)
+    counterexamples = [
+        {"kind": "fast-vs-lr-mismatch", "a": list(a), "b": list(b)}
+        for a, b, _ in _lr_disagreements(ctx, limit)
+    ]
+    zeros = [(a, b) for a, b, _ in _shell_zeros(ctx)]
+    counterexamples += [
+        {"kind": "unexpected-zero-pair", "a": list(a), "b": list(b)}
+        for a, b in zeros
+        if (a, b) != expected
+    ]
+    if expected not in zeros:
         counterexamples.append(
-            {
-                "kind": "missing-expected-pair",
-                "a": list(expected[0]),
-                "b": list(expected[1]),
-            }
+            {"kind": "missing-expected-pair", "a": list(expected[0]), "b": list(expected[1])}
         )
-    return VerificationReport(
-        claim="thm-md",
-        k=ctx.k,
-        n=ctx.n,
-        status="pass" if not counterexamples else "fail",
-        counterexamples=tuple(counterexamples),
-        hypothesis_count=scanned,
-    )
+    return _report("thm-md", ctx, counterexamples, _pair_count(ctx, limit))
 
 
 def verify_prop_comp(ctx: GrassmannContext) -> VerificationReport:
@@ -348,23 +392,16 @@ def verify_prop_comp(ctx: GrassmannContext) -> VerificationReport:
     The bound is ``|lam| + |dual(mu)| <= n+1`` and lam is not inside mu
     exactly when ``sigma_lam * sigma_dual(mu)`` vanishes, so this is the
     ordered reading of the shell of codim sum <= n+1: each unordered
-    pair {a, b} stands for the hypotheses (a, dual(b)) and (b, dual(a)),
-    a self-pair for one.  The hypotheses are counted from the layer
-    sizes, the exceptional pairs are the shell zeros read in both
-    orders, and the two expected ones are the two orderings of Theorem
-    md's pair {[X_H], [X_p]}.  Runs no scan of its own.
+    pair {a, b} stands for the hypotheses ``_orderings(ctx, a, b)``.
+    The hypotheses are counted from the layer sizes, the exceptional
+    pairs are the orderings of the shell zeros, and the two expected
+    ones are the orderings of Theorem md's pair {[X_H], [X_p]}.  Runs
+    no scan of its own.
     """
     _require_interior(ctx)
-    rows, cols, limit = ctx.rows, ctx.cols, ctx.n + 1
-    expected = {
-        ((cols,) + (0,) * (rows - 1), (cols - 1,) * rows),
-        ((1,) * rows, (cols,) * (rows - 1) + (0,)),
-    }
-    exceptional: list[tuple[Partition, Partition]] = []
-    for a, b, _ in _shell_zeros(ctx):
-        exceptional.append((a, dual_partition(ctx, b)))
-        if a != b:
-            exceptional.append((b, dual_partition(ctx, a)))
+    limit = ctx.n + 1
+    expected = _orderings(ctx, *_md_pair(ctx))
+    exceptional = [p for a, b, _ in _shell_zeros(ctx) for p in _orderings(ctx, a, b)]
     hypothesis_count = 2 * _pair_count(ctx, limit) - sum(_layer_sizes(ctx, limit // 2))
     counterexamples = [
         {"kind": "incomparable-but-unexpected", "lambda": list(lam), "mu": list(mu)}
@@ -376,30 +413,14 @@ def verify_prop_comp(ctx: GrassmannContext) -> VerificationReport:
         for lam, mu in sorted(expected)
         if (lam, mu) not in exceptional
     ]
-    return VerificationReport(
-        claim="prop-comp",
-        k=ctx.k,
-        n=ctx.n,
-        status="pass" if not counterexamples else "fail",
-        counterexamples=tuple(counterexamples),
-        hypothesis_count=hypothesis_count,
-        exceptional_pairs=tuple(sorted(exceptional)),
-    )
+    return _report("prop-comp", ctx, counterexamples, hypothesis_count,
+                   exceptional_pairs=tuple(sorted(exceptional)))
 
 
 def verify_egd(ctx: GrassmannContext) -> VerificationReport:
     """Check compute_egd(ctx) == n, reporting the scanned certificate space."""
     egd = compute_egd(ctx)
-    counterexamples: tuple = ()
-    if egd != ctx.n:
-        counterexamples = (
-            {"kind": "egd-mismatch", "egd": egd, "expected": ctx.n},
-        )
-    return VerificationReport(
-        claim="egd",
-        k=ctx.k,
-        n=ctx.n,
-        status="pass" if not counterexamples else "fail",
-        counterexamples=counterexamples,
-        hypothesis_count=_pair_count(ctx, egd + 1),
+    counterexamples = (
+        [{"kind": "egd-mismatch", "egd": egd, "expected": ctx.n}] if egd != ctx.n else []
     )
+    return _report("egd", ctx, counterexamples, _pair_count(ctx, egd + 1))

@@ -217,6 +217,32 @@ class TestVerifyCommand:
         assert code == 1
         assert "fail" in out
 
+    @pytest.mark.parametrize("max_n", ["37", "40"])
+    @pytest.mark.parametrize("claim", ["egd-sweep", "thm-md", "prop-comp"])
+    def test_oversized_sweep_exits_two_before_its_first_context(
+        self, capsys, monkeypatch, claim, max_n
+    ):
+        import schubcalc.search as search
+
+        def refuse(ctx, w):
+            raise AssertionError(f"box_layer({ctx}, {w}) built for an oversized sweep")
+
+        made = []
+        real_context = cli.GrassmannContext
+
+        def recording_context(k, n):
+            made.append((k, n))
+            return real_context(k, n)
+
+        monkeypatch.setattr(search, "box_layer", refuse)
+        monkeypatch.setattr(cli, "GrassmannContext", recording_context)
+        code, out, err = run(capsys, "verify", claim, "--max-n", max_n)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: G(12,37) has 10084016 basis pairs")
+        assert str(search.MAX_SCAN_PAIRS) in err
+        assert made[-1] == (12, 37)  # nothing of the range beyond it is built
+
     def test_mixed_flags_rejected(self, capsys):
         code, _, err = run(capsys, "verify", "thm-md", "--k", "2")
         assert code == 2

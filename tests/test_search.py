@@ -27,6 +27,7 @@ from schubcalc import (
     verify_egd,
     verify_prop_comp,
     verify_thm_md,
+    zero_class,
 )
 
 C13 = GrassmannContext(1, 3)
@@ -54,9 +55,6 @@ class TestEnumerateZeroPairs:
     def test_matches_brute_force(self):
         for ctx, max_sum in [(C13, 4), (C13, 5), (C13, 8), (C26, 8)]:
             assert enumerate_zero_pairs(ctx, max_sum) == brute_zero_pairs(ctx, max_sum)
-
-    def test_cross_validate_agrees(self):
-        assert enumerate_zero_pairs(C26, 7, cross_validate=True) == enumerate_zero_pairs(C26, 7)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -191,6 +189,10 @@ class TestCrossValidatedReport:
                 a.pop("elapsed_ms")
                 b.pop("elapsed_ms")
                 assert a == b, ctx
+                if 1 <= k <= n - 2:  # thm-md multiplies each pair of its shell once
+                    calls[0] = 0
+                    report = verify_thm_md(ctx)
+                    assert calls[0] == report.hypothesis_count, ctx
 
 
 class TestVerifyThmMd:
@@ -206,6 +208,37 @@ class TestVerifyThmMd:
             verify_thm_md(GrassmannContext(0, 4))
         with pytest.raises(ValueError):
             verify_thm_md(GrassmannContext(3, 4))
+
+    def test_lr_route_fault_is_reported_as_mismatches_only(self, monkeypatch):
+        import schubcalc.search as search
+
+        monkeypatch.setattr(search, "multiply", lambda x, y: zero_class(x.ctx))
+        report = verify_thm_md(C13)
+        assert not report.passed
+        # the Bruhat test finds the one true zero pair; the LR stub calls every pair zero
+        assert report.counterexamples
+        assert {c["kind"] for c in report.counterexamples} == {"fast-vs-lr-mismatch"}
+        assert len(report.counterexamples) == report.hypothesis_count - 1
+
+    def test_bruhat_fault_adds_the_unexpected_shell_zeros(self, monkeypatch):
+        import schubcalc.search as search
+
+        TestVerifyPropComp.bypass_shell_memo(monkeypatch, search)
+        monkeypatch.setattr(search, "_not_contained", lambda *args: True)
+        report = verify_thm_md(C13)
+        assert not report.passed
+        kinds = Counter(c["kind"] for c in report.counterexamples)
+        assert kinds == {
+            "fast-vs-lr-mismatch": report.hypothesis_count - 1,
+            "unexpected-zero-pair": report.hypothesis_count - 1,
+        }
+        unexpected = [
+            (tuple(c["a"]), tuple(c["b"]))
+            for c in report.counterexamples
+            if c["kind"] == "unexpected-zero-pair"
+        ]
+        shell = [(a, b) for a, b, _ in search._shell_zeros(C13)]
+        assert unexpected == [p for p in shell if p != search._md_pair(C13)]
 
 
 class TestVerifyPropComp:
@@ -382,6 +415,9 @@ class TestOneShellScan:
         assert search_report(ctx).computed_egd == 5
         classify_table(5)  # asks the domains G(1,5), G(2,5) and G(3,5)
         assert scans == {GrassmannContext(l, 5): 1 for l in (1, 2, 3)}
+        # thm-md adds only its LR cross-check scan: the shell zeros are shared
+        assert verify_thm_md(ctx).passed
+        assert scans == {GrassmannContext(1, 5): 1, ctx: 2, GrassmannContext(3, 5): 1}
 
 
 class TestScanLimit:
