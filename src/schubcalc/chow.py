@@ -18,13 +18,18 @@ to lam one letter at a time, each letter's cells a horizontal strip,
 and enforces the lattice-word condition as each strip is placed.
 Basis products count the shapes it ends in, ``lr_coefficient`` counts
 its tableaux inside a fixed nu, and ``lr_fillings`` reads their rows
-off the same chains of shapes.
+off the same chains of shapes.  ``_lr_vanishes`` asks the walk only
+whether the box-truncated product is zero: one tableau with nu inside
+the box answers it, so it stops at the first chain and builds no
+product.  The claims' LR cross-check runs through it.
 
 The module also provides the O(k) vanishing test: ``[X_I]*[X_J]`` is
 nonzero if and only if the dual symbol of I is Bruhat-below J, i.e.
 when the codimension partition of one fits inside the box dual of the
-other.  Both routes (tableau counting and the containment test) are
-implemented independently and cross-validated by the test suite.
+other.  Both routes (the tableau walk and the containment test) are
+implemented independently and cross-validated by the test suite: the
+walk keeps its own containment guard and never calls the test's
+predicate ``core._not_contained``.
 
 Everything is pure and safe for concurrent use; the only shared state
 is an internal memo of basis products, which is deterministic and
@@ -34,6 +39,7 @@ handed out as read-only mappings.
 from __future__ import annotations
 
 from functools import lru_cache, wraps
+from operator import gt
 from types import MappingProxyType
 
 from schubcalc.core import (
@@ -200,7 +206,7 @@ def _lr_walk(lam, mu, outer):
     if len(lam) > rows:
         return
     start = lam + (0,) * (rows - len(lam))
-    if _not_contained(start, outer):
+    if any(map(gt, start, outer)):  # its own guard, not the Bruhat route's predicate
         return
     last = len(mu)
 
@@ -254,6 +260,21 @@ def lr_coefficient(lam, mu, nu) -> int:
     if sum(nu) != sum(lam) + sum(mu):
         return 0
     return sum(1 for _ in _lr_walk(lam, mu, nu))
+
+
+def _lr_vanishes(ctx: GrassmannContext, a: Partition, b: Partition) -> bool:
+    """Whether the box-truncated product ``sigma_a * sigma_b`` is zero, by the LR rule.
+
+    The product is nonzero exactly when some LR tableau of shape nu/lam
+    and content mu has nu inside the box, so this stops at the first
+    chain of :func:`_lr_walk` and builds no nu beyond it.  The factor
+    with fewer parts is the content, which keeps the walk shallow.
+    ``a`` and ``b`` are box partitions of ``ctx``.
+    """
+    lam, mu = _reduced(a), _reduced(b)
+    if len(lam) < len(mu):
+        lam, mu = mu, lam
+    return next(_lr_walk(lam, mu, (ctx.cols,) * ctx.rows), None) is None
 
 
 def _read_only_views(memo):

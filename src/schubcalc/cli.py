@@ -17,6 +17,7 @@ import sys
 from pathlib import Path
 
 from schubcalc.chow import (
+    _lr_vanishes,
     format_class,
     multiply,
     product_vanishes_fast,
@@ -99,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--i", type=_ints, required=True, help="Schubert symbol I")
     p.add_argument("--j", type=_ints, required=True, help="Schubert symbol J")
     p.add_argument("--cross-validate", action="store_true",
-                   help="also compute the full LR product and compare")
+                   help="also look for one LR tableau inside the box and compare")
     _add_common(p)
 
     p = sub.add_parser("mdpairs", help="full md-pair search report for G(k, n)")
@@ -116,8 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--max-n", type=int, default=None,
-                   help="sweep bound when --k/--n are omitted "
-                        "(default 10; 8 for thm-md, which always cross-validates)")
+                   help="sweep bound when --k/--n are omitted (default 10)")
     _add_common(p)
 
     p = sub.add_parser("classify", help="classify morphisms G(l, n) -> G(k, n)")
@@ -200,7 +200,7 @@ def _cmd_vanishes(args):
     if args.cross_validate:
         a = dual_partition(ctx, symbol_to_dim_partition(ctx, args.i))
         b = dual_partition(ctx, symbol_to_dim_partition(ctx, args.j))
-        lr_zero = not multiply(schubert_class(ctx, a), schubert_class(ctx, b))
+        lr_zero = _lr_vanishes(ctx, a, b)
         agree = lr_zero == verdict
         payload.update(
             {"cross_validated": True, "lr_product_zero": lr_zero, "agree": agree}
@@ -269,7 +269,7 @@ def _cmd_verify(args):
         reports = [report]
         payload = report.to_json_dict()
     else:
-        max_n = args.max_n if args.max_n is not None else (8 if claim == "thm-md" else 10)
+        max_n = args.max_n if args.max_n is not None else 10
         # Refuse an oversized sweep before checking its first context, and
         # before building the rest of a range that may be arbitrarily large.
         contexts = []

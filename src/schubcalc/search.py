@@ -28,10 +28,13 @@ egd = n, and a pair vanishing lower would be reported.
 ``_shell_zeros`` is the one memoized search result, a few pairs per
 context, so every reader of the shell shares one scan.  thm-md reads
 the shell zeros plus one Littlewood-Richardson cross-check,
-``_lr_disagreements``, which multiplies every pair of the shell through
-:func:`schubcalc.chow.multiply` and yields the pairs where that product
-and the vanishing test disagree; it is the only code here that
-multiplies, and ``search_report(cross_validate=True)`` runs it too.
+``_lr_disagreements``, which asks the LR rule of every pair of the
+shell whether its box-truncated product is zero and yields the pairs
+where that answer and the vanishing test disagree.  It multiplies
+nothing: ``chow._lr_vanishes`` looks for one LR tableau with its shape
+inside the box and stops at the first.  It is the only code here that
+uses the LR rule, and ``search_report(cross_validate=True)`` runs it
+too.
 
 Every pair scan runs through one kernel, ``_scan``, which builds only
 the weight layers (:func:`schubcalc.core.box_layer`) up to its
@@ -60,7 +63,7 @@ import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from schubcalc.chow import multiply, schubert_class
+from schubcalc.chow import _lr_vanishes
 from schubcalc.core import (
     GrassmannContext, Partition, _integers, _layer_sizes, _not_contained, box_layer,
     dual_partition,
@@ -201,13 +204,13 @@ def _lr_disagreements(ctx: GrassmannContext, hi: int):
     """Yield ``(a, b, fast)`` for every scanned pair whose LR product disagrees.
 
     ``fast`` is the Bruhat verdict of ``_scan``; the pair is yielded when
-    whether the full Littlewood-Richardson product is zero differs from
-    ``fast``.  The one LR cross-check of this module: every pair up to
-    ``hi`` is multiplied, and nothing is yielded when the two routes
-    agree.
+    the Littlewood-Richardson verdict differs from it.  The one LR
+    cross-check of this module: for every pair up to ``hi`` it looks
+    for one LR tableau inside the box (``chow._lr_vanishes``) rather
+    than multiplying, and nothing is yielded when the two routes agree.
     """
     for a, b, fast in _scan(ctx, hi):
-        if (not multiply(schubert_class(ctx, a), schubert_class(ctx, b))) != fast:
+        if _lr_vanishes(ctx, a, b) != fast:
             yield a, b, fast
 
 
@@ -284,9 +287,10 @@ def search_report(ctx: GrassmannContext, cross_validate: bool = False) -> Search
     """Full md-pair search: egd, zero pairs at the critical codimension, timing.
 
     Nothing below egd + 1 vanishes, so the zero pairs are the md-pairs.
-    ``cross_validate`` also multiplies every pair up to egd + 1 through
-    the LR rule (``_lr_disagreements``) and raises ``RuntimeError`` on
-    the first pair where it disagrees with the Bruhat test.
+    ``cross_validate`` also asks the LR rule whether every pair up to
+    egd + 1 vanishes, by looking for one tableau inside the box
+    (``_lr_disagreements``), and raises ``RuntimeError`` on the first
+    pair where it disagrees with the Bruhat test.
     """
     start = time.perf_counter()
     pairs = md_pairs(ctx)
@@ -353,8 +357,9 @@ def verify_thm_md(ctx: GrassmannContext) -> VerificationReport:
     """Check: the only vanishing basis pair with codim-sum <= n+1 is {[X_H], [X_p]}.
 
     Reads the zero pairs off the shell zeros (the Bruhat test) and
-    multiplies every pair of the shell once more through the LR rule
-    (``_lr_disagreements``).  Each pair where the two routes disagree
+    checks every pair of the shell once more through the LR rule
+    (``_lr_disagreements``), which looks for one tableau inside the box
+    rather than multiplying.  Each pair where the two routes disagree
     is a ``fast-vs-lr-mismatch``; each shell zero other than Theorem
     md's pair is an ``unexpected-zero-pair``, and that pair's absence a
     ``missing-expected-pair``.  When the routes agree on every pair

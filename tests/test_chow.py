@@ -1,17 +1,20 @@
 """Chow ring products, vanishing tests and the Poincare pairing."""
 
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 
 from schubcalc import (
     CycleClass,
     GrassmannContext,
+    box_layer,
     box_partitions,
     dual_partition,
     format_class,
     fundamental_class,
     lr_coefficient,
+    lr_oracle,
     multiply,
     pair_vanishes,
     poincare_pair,
@@ -20,6 +23,7 @@ from schubcalc import (
     special_symbols,
     symbol_to_dim_partition,
 )
+from schubcalc.chow import _lr_vanishes
 
 C13 = GrassmannContext(1, 3)
 C26 = GrassmannContext(2, 6)
@@ -258,6 +262,53 @@ class TestVanishingCriterion:
                 for sj in all_symbols(ctx):
                     b = dual_partition(ctx, symbol_to_dim_partition(ctx, sj))
                     assert product_vanishes_fast(ctx, si, sj) == pair_vanishes(ctx, a, b)
+
+
+class TestLrVanishing:
+    """The LR rule's vanishing verdict: one tableau inside the box, no product built."""
+
+    def test_matches_product_and_bruhat_test_through_n7(self):
+        for n in range(1, 8):
+            for k in range(n):
+                ctx = GrassmannContext(k, n)
+                for a, b in combinations_with_replacement(box_partitions(ctx), 2):
+                    zero = not multiply(schubert_class(ctx, a), schubert_class(ctx, b))
+                    assert _lr_vanishes(ctx, a, b) == _lr_vanishes(ctx, b, a) == zero, (ctx, a, b)
+                    assert pair_vanishes(ctx, a, b) == zero, (ctx, a, b)
+
+    def test_tableau_route_never_calls_the_containment_predicate(self, monkeypatch):
+        import schubcalc.chow as chow
+        import schubcalc.core as core
+
+        # the expected values come from the Schur oracle and the Bruhat test,
+        # computed before the containment predicate is broken
+        cases = []
+        for a, b in combinations_with_replacement(box_partitions(C26), 2):
+            expansion = lr_oracle(a, b, C26.rows + 1)
+            terms = {
+                nu + (0,) * (C26.rows - len(nu)): c
+                for nu, c in expansion.items()
+                if len(nu) <= C26.rows and (not nu or nu[0] <= C26.cols)
+            }
+            coefficients = {nu: terms.get(nu, 0) for nu in box_layer(C26, sum(a) + sum(b))}
+            cases.append((a, b, terms, coefficients, pair_vanishes(C26, a, b)))
+
+        def broken(*args):
+            raise AssertionError("the tableau route called _not_contained")
+
+        monkeypatch.setattr(core, "_not_contained", broken)
+        monkeypatch.setattr(chow, "_not_contained", broken)
+        with pytest.raises(AssertionError):
+            pair_vanishes(C26, (1, 1, 1), (4, 0, 0))
+        chow._basis_product.cache_clear()
+        try:
+            for a, b, terms, coefficients, zero in cases:
+                assert multiply(sigma(C26, *a), sigma(C26, *b)).terms == terms, (a, b)
+                for nu, c in coefficients.items():
+                    assert lr_coefficient(a, b, nu) == c, (a, b, nu)
+                assert _lr_vanishes(C26, a, b) == zero, (a, b)
+        finally:
+            chow._basis_product.cache_clear()
 
 
 class TestPoincarePairing:

@@ -112,6 +112,16 @@ class TestVanishes:
         data = json.loads(out)
         assert data["lr_product_zero"] is True and data["agree"] is True
 
+    def test_cross_validation_disagreement_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_lr_vanishes", lambda ctx, a, b: False)
+        code, out, _ = run(
+            capsys,
+            "vanishes", "--k", "2", "--n", "6", "--i", "4,5,6", "--j", "1,6,7",
+            "--cross-validate",
+        )
+        assert code == 1
+        assert out.splitlines()[-1] == "LR cross-check: nonzero (DISAGREES)"
+
 
 class TestMdPairsCommand:
     def test_report(self, capsys):
@@ -205,6 +215,19 @@ class TestVerifyCommand:
         assert {(c["k"], c["n"]) for c in data["contexts"]} == {
             (k, n) for n in range(3, 6) for k in range(1, n - 1)
         }
+
+    @pytest.mark.parametrize("claim", ["thm-md", "prop-comp", "egd-sweep"])
+    def test_every_claim_sweeps_to_ten_by_default(self, capsys, monkeypatch, claim):
+        def passing(ctx):
+            return VerificationReport(claim=claim, k=ctx.k, n=ctx.n, status="pass")
+
+        for name in ("verify_thm_md", "verify_prop_comp", "verify_egd"):
+            monkeypatch.setattr(cli, name, passing)
+        code, out, _ = run(capsys, "verify", claim, "--format", "json")
+        assert code == 0
+        data = json.loads(out)
+        assert data["max_n"] == 10
+        assert max(c["n"] for c in data["contexts"]) == 10
 
     def test_counterexample_exits_one(self, capsys, monkeypatch):
         fake = VerificationReport(

@@ -3,7 +3,8 @@
 The exhaustive checks elsewhere stop at n = 8; these draw contexts and
 basis pairs beyond that range and compare the LR tableau walk with the
 Schur oracle, with its own fillings, with itself under swapped factors,
-and with the Pieri rule.
+and with the Pieri rule, and the LR rule's vanishing verdict with the
+product and the Bruhat test.
 """
 
 from hypothesis import given
@@ -16,8 +17,10 @@ from schubcalc import (
     lr_fillings,
     lr_oracle,
     multiply,
+    pair_vanishes,
     schubert_class,
 )
+from schubcalc.chow import _lr_vanishes
 
 
 @st.composite
@@ -83,6 +86,27 @@ def test_multiply_is_commutative(pair):
     # the memo shares one entry for both orders; the walk itself must agree too
     for nu, c in terms.items():
         assert lr_coefficient(b, a, nu) == c
+
+
+def grown(ctx, p):
+    """The box partitions made by adding one cell to ``p``."""
+    return [
+        p[:r] + (p[r] + 1,) + p[r + 1:]
+        for r in range(ctx.rows)
+        if p[r] < (p[r - 1] if r else ctx.cols)
+    ]
+
+
+@given(basis_pairs())
+def test_lr_vanishing_matches_product_and_bruhat_test(pair):
+    ctx, a, b = pair
+    zero = not product(ctx, a, b)
+    assert _lr_vanishes(ctx, a, b) == _lr_vanishes(ctx, b, a) == zero
+    assert pair_vanishes(ctx, a, b) == zero
+    # one cell more on either side: when b fits inside dual(a), these
+    # include the vanishing pairs nearest the boundary
+    for x, y in [(a, c) for c in grown(ctx, b)] + [(c, b) for c in grown(ctx, a)]:
+        assert _lr_vanishes(ctx, x, y) == pair_vanishes(ctx, x, y), (ctx, x, y)
 
 
 @st.composite

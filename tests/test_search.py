@@ -27,7 +27,6 @@ from schubcalc import (
     verify_egd,
     verify_prop_comp,
     verify_thm_md,
-    zero_class,
 )
 
 C13 = GrassmannContext(1, 3)
@@ -170,13 +169,13 @@ class TestCrossValidatedReport:
         import schubcalc.search as search
 
         calls = [0]
-        real_multiply = search.multiply
+        real_lr_vanishes = search._lr_vanishes
 
-        def counting_multiply(*args):
+        def counting_lr_vanishes(*args):
             calls[0] += 1
-            return real_multiply(*args)
+            return real_lr_vanishes(*args)
 
-        monkeypatch.setattr(search, "multiply", counting_multiply)
+        monkeypatch.setattr(search, "_lr_vanishes", counting_lr_vanishes)
         for n in range(1, 7):
             for k in range(n):
                 ctx = GrassmannContext(k, n)
@@ -189,7 +188,7 @@ class TestCrossValidatedReport:
                 a.pop("elapsed_ms")
                 b.pop("elapsed_ms")
                 assert a == b, ctx
-                if 1 <= k <= n - 2:  # thm-md multiplies each pair of its shell once
+                if 1 <= k <= n - 2:  # thm-md checks each pair of its shell once
                     calls[0] = 0
                     report = verify_thm_md(ctx)
                     assert calls[0] == report.hypothesis_count, ctx
@@ -212,7 +211,7 @@ class TestVerifyThmMd:
     def test_lr_route_fault_is_reported_as_mismatches_only(self, monkeypatch):
         import schubcalc.search as search
 
-        monkeypatch.setattr(search, "multiply", lambda x, y: zero_class(x.ctx))
+        monkeypatch.setattr(search, "_lr_vanishes", lambda ctx, a, b: True)
         report = verify_thm_md(C13)
         assert not report.passed
         # the Bruhat test finds the one true zero pair; the LR stub calls every pair zero
