@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from schubcalc.chow import (
     _lr_vanishes,
@@ -351,7 +350,8 @@ def main(argv=None) -> int:
     twin = json.dumps(payload, indent=2, sort_keys=True)
     if args.output:
         try:
-            Path(args.output).write_text(twin + "\n")
+            with open(args.output, "w") as out:
+                out.write(twin + "\n")
         except OSError as err:
             print(f"error: cannot write --output {args.output}: {err.strerror or err}",
                   file=sys.stderr)

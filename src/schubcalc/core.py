@@ -39,7 +39,7 @@ immutable, so everything here is safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain, combinations
 from operator import gt, index
 
@@ -51,21 +51,19 @@ EMPTY = "."
 OVERLAY = "*"
 
 
-@dataclass(frozen=True, order=True)
-class GrassmannContext:
+class GrassmannContext(namedtuple("GrassmannContext", "k n")):
     """The ambient Grassmannian G(k, n) of projective k-planes in P^n."""
 
-    k: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        k, n = _integers("Grassmannian (k, n) =", (self.k, self.n))
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "n", n)
-        if self.n < 1 or not 0 <= self.k <= self.n - 1:
-            raise ValueError(
-                f"invalid Grassmannian G({self.k},{self.n}): need n >= 1 and 0 <= k <= n-1"
-            )
+    def __new__(cls, k: int, n: int) -> GrassmannContext:
+        k, n = _integers("Grassmannian (k, n) =", (k, n))
+        if n < 1 or not 0 <= k <= n - 1:
+            raise ValueError(f"invalid Grassmannian G({k},{n}): need n >= 1 and 0 <= k <= n-1")
+        return super().__new__(cls, k, n)
+
+    # ``_replace`` builds through ``_make``: send both through the checks above.
+    _make = classmethod(lambda cls, values: cls(*values))
 
     @property
     def rows(self) -> int:

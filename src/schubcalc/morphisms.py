@@ -19,7 +19,7 @@ results govern; those cells report ``NOT_COVERED`` instead of guessing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from schubcalc.core import GrassmannContext, _integers
 from schubcalc.search import has_mdpair_of_type
@@ -35,34 +35,27 @@ _GLYPHS = {
 }
 
 
-@dataclass(frozen=True)
-class MorphismQuery:
+class MorphismQuery(namedtuple("MorphismQuery", "l k n")):
     """A morphism question: maps G(l, n) -> G(k, n)."""
 
-    l: int
-    k: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        values = _integers("morphism query (l, k, n) =", (self.l, self.k, self.n))
-        for name, value in zip(("l", "k", "n"), values):
-            object.__setattr__(self, name, value)
-        if self.n < 1 or not 0 <= self.l <= self.n - 1 or not 0 <= self.k <= self.n - 1:
+    def __new__(cls, l: int, k: int, n: int) -> MorphismQuery:
+        l, k, n = _integers("morphism query (l, k, n) =", (l, k, n))
+        if n < 1 or not 0 <= l <= n - 1 or not 0 <= k <= n - 1:
             raise ValueError(
-                f"invalid query G({self.l},{self.n}) -> G({self.k},{self.n}): "
-                "need n >= 1 and 0 <= l, k <= n-1"
+                f"invalid query G({l},{n}) -> G({k},{n}): need n >= 1 and 0 <= l, k <= n-1"
             )
+        return super().__new__(cls, l, k, n)
+
+    # ``_replace`` builds through ``_make``: send both through the checks above.
+    _make = classmethod(lambda cls, values: cls(*values))
 
 
-@dataclass(frozen=True)
-class ClassificationOutcome:
-    l: int
-    k: int
-    n: int
-    verdict: str
-    branch: str
-    details: str
-    identity: str | None = None
+class ClassificationOutcome(namedtuple(
+    "ClassificationOutcome", "l k n verdict branch details identity", defaults=(None,)
+)):
+    __slots__ = ()
 
     @property
     def glyph(self) -> str:

@@ -60,7 +60,7 @@ unordered pairs are canonicalized with the smaller partition first.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
 
 from schubcalc.chow import _lr_vanishes
@@ -78,13 +78,10 @@ ZeroPair = tuple[Partition, Partition, int]
 MAX_SCAN_PAIRS = 10_000_000
 
 
-@dataclass(frozen=True)
-class MdPair:
+class MdPair(namedtuple("MdPair", "ctx a b")):
     """A maximal disjoint pair: basis classes with zero product at codim egd+1."""
 
-    ctx: GrassmannContext
-    a: Partition
-    b: Partition
+    __slots__ = ()
 
     @property
     def codims(self) -> tuple[int, int]:
@@ -104,16 +101,12 @@ class MdPair:
         }
 
 
-@dataclass(frozen=True)
-class SearchReport:
+class SearchReport(namedtuple(
+    "SearchReport", "ctx scanned_pair_count zero_pairs computed_egd md_pairs elapsed_ms"
+)):
     """Outcome of a full md-pair search on one Grassmannian."""
 
-    ctx: GrassmannContext
-    scanned_pair_count: int
-    zero_pairs: tuple[ZeroPair, ...]
-    computed_egd: int
-    md_pairs: tuple[MdPair, ...]
-    elapsed_ms: int
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -130,17 +123,14 @@ class SearchReport:
         }
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    """Result of mechanically checking one claim on one Grassmannian."""
+class VerificationReport(namedtuple(
+    "VerificationReport",
+    "claim k n status counterexamples hypothesis_count exceptional_pairs",
+    defaults=((), 0, None),
+)):
+    """Result of checking one claim on one Grassmannian; ``status`` is "pass" or "fail"."""
 
-    claim: str
-    k: int
-    n: int
-    status: str  # "pass" | "fail"
-    counterexamples: tuple = ()
-    hypothesis_count: int = 0
-    exceptional_pairs: tuple = field(default=None)
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
