@@ -33,14 +33,13 @@ predicate ``core._not_contained``.
 
 Everything is pure and safe for concurrent use; the only shared state
 is an internal memo of basis products, which is deterministic and
-handed out as read-only mappings.
+holds tuples, so no caller can change what later products see.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, wraps
+from functools import lru_cache
 from operator import gt
-from types import MappingProxyType
 
 from schubcalc.core import (
     GrassmannContext,
@@ -277,36 +276,16 @@ def _lr_vanishes(ctx: GrassmannContext, a: Partition, b: Partition) -> bool:
     return next(_lr_walk(lam, mu, (ctx.cols,) * ctx.rows), None) is None
 
 
-def _read_only_views(memo):
-    """Hand out each mapping memoized by ``memo`` as a read-only view.
-
-    The memo keeps plain dicts, which the garbage collector stops
-    tracking (their keys and values are ints and tuples of ints).  A
-    view stored in the memo would stay tracked as long as the memo
-    holds it, and with a full memo that lengthened every collector
-    pause; so a view is made per call instead.  ``cache_info`` and
-    ``cache_clear`` pass through.
-    """
-
-    @wraps(memo)
-    def views(*args):
-        return MappingProxyType(memo(*args))
-
-    views.cache_info, views.cache_clear = memo.cache_info, memo.cache_clear
-    return views
-
-
-@_read_only_views
 @lru_cache(maxsize=131072)
 def _basis_product(
     lam: tuple[int, ...], mu: tuple[int, ...], max_rows: int
-) -> dict[tuple[int, ...], int]:
+) -> tuple[tuple[tuple[int, ...], int], ...]:
     """LR expansion of sigma_lam*sigma_mu truncated to ``max_rows`` rows.
 
-    Keys are reduced partitions (no trailing zeros); columns are not
+    ``(nu, c)`` pairs, each nu with ``max_rows`` parts; columns are not
     truncated here, so the memo is shared across all ambient boxes with
-    the same number of rows.  Callers get a read-only view, so they
-    cannot change what later products see.
+    the same number of rows.  The value is a tuple, so callers cannot
+    change what later products see.
     """
     if (lam, mu) > (mu, lam):
         lam, mu = mu, lam
@@ -315,13 +294,7 @@ def _basis_product(
     for chain in _lr_walk(lam, mu, (width,) * max_rows):
         nu = chain[-1]
         counts[nu] = counts.get(nu, 0) + 1
-    out: dict[tuple[int, ...], int] = {}
-    for nu, c in counts.items():
-        length = len(nu)
-        while length and not nu[length - 1]:
-            length -= 1
-        out[nu[:length]] = c
-    return out
+    return tuple(counts.items())
 
 
 def multiply(x: CycleClass, y: CycleClass) -> CycleClass:
@@ -333,11 +306,9 @@ def multiply(x: CycleClass, y: CycleClass) -> CycleClass:
     acc: dict[Partition, int] = {}
     for a, ca in x.terms.items():
         for b, cb in y.terms.items():
-            for nu, c in _basis_product(_reduced(a), _reduced(b), rows).items():
-                if nu and nu[0] > cols:
-                    continue
-                key = nu + (0,) * (rows - len(nu))
-                acc[key] = acc.get(key, 0) + ca * cb * c
+            for nu, c in _basis_product(_reduced(a), _reduced(b), rows):
+                if nu[0] <= cols:
+                    acc[nu] = acc.get(nu, 0) + ca * cb * c
     return CycleClass(ctx, acc)
 
 

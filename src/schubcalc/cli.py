@@ -275,6 +275,9 @@ def _cmd_verify(args):
         for ctx in _verify_contexts(claim, max_n):
             _check_scan_size(ctx, ctx.n + 1)
             contexts.append(ctx)
+        if claim == "thm-md":  # its LR cross-check has a smaller limit
+            for ctx in contexts:
+                _check_scan_size(ctx, ctx.n + 1, lr=True)
         if not contexts:  # a sweep over nothing must not report "pass"
             raise ValueError(f"--max-n {max_n} leaves no context to check for {claim}")
         fn = checker["egd" if claim == "egd-sweep" else claim]

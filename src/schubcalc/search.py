@@ -34,7 +34,8 @@ where that answer and the vanishing test disagree.  It multiplies
 nothing: ``chow._lr_vanishes`` looks for one LR tableau with its shape
 inside the box and stops at the first.  It is the only code here that
 uses the LR rule, and ``search_report(cross_validate=True)`` runs it
-too.
+too.  Each of its pairs costs a tableau walk, so it has its own,
+smaller size limit, ``MAX_LR_PAIRS``.
 
 Every pair scan runs through one kernel, ``_scan``, which builds only
 the weight layers (:func:`schubcalc.core.box_layer`) up to its
@@ -76,6 +77,12 @@ ZeroPair = tuple[Partition, Partition, int]
 # pairs, a few seconds) included; a larger request is a usage error
 # before any layer is built, not an out-of-memory crash or a hang.
 MAX_SCAN_PAIRS = 10_000_000
+
+# The most pairs one LR cross-check (thm-md, a cross-validated report)
+# may ask the LR rule about, at tens of microseconds a pair.  It admits
+# every G(k, n) with n <= 24, G(12, 24) (215,387 pairs) included, and
+# refuses G(12, 25) (300,849) and beyond, G(18, 36) (8,298,714) too.
+MAX_LR_PAIRS = 250_000
 
 
 class MdPair(namedtuple("MdPair", "ctx a b")):
@@ -152,18 +159,21 @@ class VerificationReport(namedtuple(
         return out
 
 
-def _check_scan_size(ctx: GrassmannContext, hi: int) -> None:
-    """Raise ``ValueError`` if ``ctx`` has more than ``MAX_SCAN_PAIRS`` pairs up to ``hi``.
+def _check_scan_size(ctx: GrassmannContext, hi: int, lr: bool = False) -> None:
+    """Raise ``ValueError`` if ``ctx`` has too many pairs up to ``hi``.
 
-    Counted from the layer sizes, without building a layer.  ``_scan``
-    calls it before each scan, and the CLI on every context of a sweep
-    before checking the first.
+    A scan may test ``MAX_SCAN_PAIRS`` pairs, and one that asks the LR
+    rule of each pair (``lr``) ``MAX_LR_PAIRS``.  Counted from the layer
+    sizes, without building a layer.  ``_scan`` and
+    ``_lr_disagreements`` call it before they scan, and the CLI on every
+    context of a sweep before checking the first.
     """
+    limit = MAX_LR_PAIRS if lr else MAX_SCAN_PAIRS
     count = _pair_count(ctx, hi)
-    if count > MAX_SCAN_PAIRS:
+    if count > limit:
         raise ValueError(
             f"{ctx} has {count} basis pairs with codim sum <= {hi}, "
-            f"over the scan limit of {MAX_SCAN_PAIRS}"
+            f"over the scan limit of {limit}" + (" for an LR cross-check" if lr else "")
         )
 
 
@@ -198,7 +208,9 @@ def _lr_disagreements(ctx: GrassmannContext, hi: int):
     cross-check of this module: for every pair up to ``hi`` it looks
     for one LR tableau inside the box (``chow._lr_vanishes``) rather
     than multiplying, and nothing is yielded when the two routes agree.
+    It refuses more than ``MAX_LR_PAIRS`` pairs before the scan starts.
     """
+    _check_scan_size(ctx, hi, lr=True)
     for a, b, fast in _scan(ctx, hi):
         if _lr_vanishes(ctx, a, b) != fast:
             yield a, b, fast
@@ -280,8 +292,11 @@ def search_report(ctx: GrassmannContext, cross_validate: bool = False) -> Search
     ``cross_validate`` also asks the LR rule whether every pair up to
     egd + 1 vanishes, by looking for one tableau inside the box
     (``_lr_disagreements``), and raises ``RuntimeError`` on the first
-    pair where it disagrees with the Bruhat test.
+    pair where it disagrees with the Bruhat test.  Its size limit is
+    checked at n + 1, which bounds egd + 1, before the shell is scanned.
     """
+    if cross_validate:
+        _check_scan_size(ctx, ctx.n + 1, lr=True)
     start = time.perf_counter()
     pairs = md_pairs(ctx)
     egd = compute_egd(ctx)

@@ -228,8 +228,8 @@ class TestProductMemo:
         from schubcalc.chow import _basis_product
 
         with pytest.raises(TypeError):
-            _basis_product((1,), (1,), 2)[(2,)] = 99
-        assert _basis_product((1,), (1,), 2) == {(2,): 1, (1, 1): 1}
+            _basis_product((1,), (1,), 2)[(2, 0)] = 99
+        assert dict(_basis_product((1,), (1,), 2)) == {(2, 0): 1, (1, 1): 1}
         assert format_class(multiply(sigma(C13, 1, 0), sigma(C13, 1, 0))) == "σ(2) + σ(1,1)"
 
 

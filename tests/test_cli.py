@@ -266,6 +266,43 @@ class TestVerifyCommand:
         assert str(search.MAX_SCAN_PAIRS) in err
         assert made[-1] == (12, 37)  # nothing of the range beyond it is built
 
+    @pytest.mark.parametrize("argv", [
+        "verify thm-md --k 15 --n 30",
+        "verify thm-md --k 18 --n 36",
+        "mdpairs --k 15 --n 30 --cross-validate",
+        "mdpairs --k 18 --n 36 --cross-validate",
+    ])
+    def test_oversized_lr_cross_check_exits_two_before_building_a_layer(
+        self, capsys, monkeypatch, argv
+    ):
+        import schubcalc.search as search
+
+        def refuse(ctx, w):
+            raise AssertionError(f"box_layer({ctx}, {w}) built for an oversized LR check")
+
+        monkeypatch.setattr(search, "box_layer", refuse)
+        code, out, err = run(capsys, *argv.split())
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: G(") and "LR cross-check" in err
+        assert str(search.MAX_LR_PAIRS) in err
+
+    def test_thm_md_sweep_stops_at_the_lr_limit(self, capsys, monkeypatch):
+        import schubcalc.search as search
+
+        def passing(ctx):
+            return VerificationReport(claim="thm-md", k=ctx.k, n=ctx.n, status="pass")
+
+        monkeypatch.setattr(cli, "verify_thm_md", passing)
+        code, out, _ = run(capsys, "verify", "thm-md", "--max-n", "24", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["contexts"][-1]["n"] == 24
+        code, out, err = run(capsys, "verify", "thm-md", "--max-n", "25")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: G(8,25) has 266998 basis pairs")
+        assert str(search.MAX_LR_PAIRS) in err
+
     def test_mixed_flags_rejected(self, capsys):
         code, _, err = run(capsys, "verify", "thm-md", "--k", "2")
         assert code == 2

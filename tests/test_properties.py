@@ -2,9 +2,9 @@
 
 The exhaustive checks elsewhere stop at n = 8; these draw contexts and
 basis pairs beyond that range and compare the LR tableau walk with the
-Schur oracle, with its own fillings, with itself under swapped factors,
-and with the Pieri rule, and the LR rule's vanishing verdict with the
-product and the Bruhat test.
+Schur oracle, with its own fillings, with itself under swapped factors
+and regrouped triples, and with the Pieri rule, and the LR rule's
+vanishing verdict with the product and the Bruhat test.
 """
 
 from hypothesis import given
@@ -107,6 +107,29 @@ def test_lr_vanishing_matches_product_and_bruhat_test(pair):
     # include the vanishing pairs nearest the boundary
     for x, y in [(a, c) for c in grown(ctx, b)] + [(c, b) for c in grown(ctx, a)]:
         assert _lr_vanishes(ctx, x, y) == pair_vanishes(ctx, x, y), (ctx, x, y)
+
+
+@st.composite
+def basis_triples(draw):
+    """A basis pair plus a third box partition c; on a drawn flag, c fits inside dual(nu).
+
+    nu is a term of sigma_a * sigma_b, so the triple product is then
+    nonzero, which a uniform draw at n > 8 rarely gives.
+    """
+    ctx, a, b = draw(basis_pairs())
+    box = (ctx.cols,) * ctx.rows
+    terms = sorted(product(ctx, a, b))
+    if terms and draw(st.booleans()):
+        nu = draw(st.sampled_from(terms))
+        box = tuple(ctx.cols - x for x in reversed(nu))
+    return ctx, a, b, draw(partitions_inside(box))
+
+
+@given(basis_triples())
+def test_multiply_is_associative(triple):
+    ctx, a, b, c = triple
+    x, y, z = (schubert_class(ctx, p) for p in (a, b, c))
+    assert multiply(multiply(x, y), z) == multiply(x, multiply(y, z))
 
 
 @st.composite

@@ -438,6 +438,34 @@ class TestScanLimit:
             verify_thm_md(ctx)
 
 
+class TestLrLimit:
+    """The LR cross-check (thm-md, a cross-validated report) has its own, smaller limit."""
+
+    def test_every_interior_context_up_to_n24_is_accepted(self):
+        import schubcalc.search as search
+
+        for n in range(3, 25):
+            for k in range(1, n - 1):
+                search._check_scan_size(GrassmannContext(k, n), n + 1, lr=True)
+        assert search._pair_count(GrassmannContext(12, 24), 25) == 215_387 <= search.MAX_LR_PAIRS
+
+    @pytest.mark.parametrize("k,n", [(12, 25), (15, 30), (18, 36)])
+    def test_larger_contexts_are_refused_before_a_layer_is_built(self, monkeypatch, k, n):
+        import schubcalc.search as search
+
+        def refuse(ctx, w):
+            raise AssertionError(f"box_layer({ctx}, {w}) built for an oversized LR check")
+
+        monkeypatch.setattr(search, "box_layer", refuse)
+        ctx = GrassmannContext(k, n)
+        search._check_scan_size(ctx, n + 1)  # within the plain scan limit
+        limit = f"over the scan limit of {search.MAX_LR_PAIRS} for an LR cross-check"
+        with pytest.raises(ValueError, match=limit):
+            verify_thm_md(ctx)
+        with pytest.raises(ValueError, match=limit):
+            search_report(ctx, cross_validate=True)
+
+
 class TestMemoInventory:
     """The package memos, found by introspection, are the ones the README names."""
 
@@ -461,3 +489,19 @@ class TestMemoInventory:
         assert self.package_memos() == documented == {
             "search._shell_zeros", "chow._basis_product", "schur._kostka_row"
         }
+
+    def test_memo_values_are_hashable(self):
+        """Each memo hands out a tuple, so no caller can change what it holds."""
+        import schubcalc.search as search
+        from schubcalc.chow import _basis_product
+        from schubcalc.schur import _kostka_row
+
+        values = {
+            "search._shell_zeros": search._shell_zeros(C26),
+            "chow._basis_product": _basis_product((2, 1), (1,), 3),
+            "schur._kostka_row": _kostka_row((2, 1), 3),
+        }
+        assert set(values) == self.package_memos()
+        for name, value in values.items():
+            hash(value)
+            assert value, name
