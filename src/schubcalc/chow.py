@@ -196,8 +196,10 @@ def _lr_walk(lam, mu, outer):
     and the lattice-word condition on the reading word (right to left,
     top to bottom) is enforced as each strip is placed: for every
     letter i > 1 and every row r, the i's in rows <= r may not outnumber
-    the (i-1)'s in rows < r.  ``lam`` and ``mu`` are reduced; ``outer``
-    is a weakly decreasing tuple whose length caps the number of rows.
+    the (i-1)'s in rows < r.  ``outer`` is a weakly decreasing tuple
+    whose length caps the number of rows; ``lam`` may carry trailing
+    zeros up to ``len(outer)``, and trailing zero letters of ``mu`` are
+    ignored.
     This is the strip-by-strip scheme of Buch's lrcalc for the rule of
     Fulton, *Young Tableaux*, section 5.
     """
@@ -207,7 +209,7 @@ def _lr_walk(lam, mu, outer):
     start = lam + (0,) * (rows - len(lam))
     if any(map(gt, start, outer)):  # its own guard, not the Bruhat route's predicate
         return
-    last = len(mu)
+    last = len(mu) - mu.count(0)
 
     def walk(chain, i):
         if i == last:
@@ -267,12 +269,10 @@ def _lr_vanishes(ctx: GrassmannContext, a: Partition, b: Partition) -> bool:
     The product is nonzero exactly when some LR tableau of shape nu/lam
     and content mu has nu inside the box, so this stops at the first
     chain of :func:`_lr_walk` and builds no nu beyond it.  The factor
-    with fewer parts is the content, which keeps the walk shallow.
-    ``a`` and ``b`` are box partitions of ``ctx``.
+    with fewer nonzero parts is the content, which keeps the walk
+    shallow.  ``a`` and ``b`` are box partitions of ``ctx``.
     """
-    lam, mu = _reduced(a), _reduced(b)
-    if len(lam) < len(mu):
-        lam, mu = mu, lam
+    lam, mu = (b, a) if a.count(0) > b.count(0) else (a, b)
     return next(_lr_walk(lam, mu, (ctx.cols,) * ctx.rows), None) is None
 
 

@@ -33,7 +33,7 @@ from schubcalc.core import (
 )
 from schubcalc.morphisms import MorphismQuery, classify, classify_table, table_text
 from schubcalc.search import (
-    _check_scan_size,
+    _checked_contexts,
     compute_egd,
     search_report,
     verify_egd,
@@ -241,18 +241,6 @@ def _cmd_egd(args):
     return f"egd({ctx}) = {value}\n", payload, 0
 
 
-def _verify_contexts(claim: str, max_n: int):
-    if claim == "egd-sweep":
-        return (
-            GrassmannContext(k, n) for n in range(1, max_n + 1) for k in range(n)
-        )
-    return (
-        GrassmannContext(k, n)
-        for n in range(3, max_n + 1)
-        for k in range(1, n - 1)
-    )
-
-
 def _cmd_verify(args):
     claim = args.claim
     single = args.k is not None or args.n is not None
@@ -262,7 +250,7 @@ def _cmd_verify(args):
         raise ValueError("egd-sweep is a sweep; use --max-n, not --k/--n")
     if single and args.max_n is not None:
         raise ValueError("--max-n bounds a sweep; it cannot be combined with --k/--n")
-    checker = {"thm-md": verify_thm_md, "prop-comp": verify_prop_comp, "egd": verify_egd}
+    checker = {"thm-md": verify_thm_md, "prop-comp": verify_prop_comp, "egd-sweep": verify_egd}
     if single:
         report = checker[claim](GrassmannContext(args.k, args.n))
         reports = [report]
@@ -271,17 +259,17 @@ def _cmd_verify(args):
         max_n = args.max_n if args.max_n is not None else 10
         # Refuse an oversized sweep before checking its first context, and
         # before building the rest of a range that may be arbitrarily large.
-        contexts = []
-        for ctx in _verify_contexts(claim, max_n):
-            _check_scan_size(ctx, ctx.n + 1)
-            contexts.append(ctx)
+        contexts = _checked_contexts(
+            GrassmannContext(k, n)
+            for n in range(1, max_n + 1)
+            for k in range(n)
+            if claim == "egd-sweep" or 1 <= k <= n - 2
+        )
         if claim == "thm-md":  # its LR cross-check has a smaller limit
-            for ctx in contexts:
-                _check_scan_size(ctx, ctx.n + 1, lr=True)
+            _checked_contexts(contexts, lr=True)
         if not contexts:  # a sweep over nothing must not report "pass"
             raise ValueError(f"--max-n {max_n} leaves no context to check for {claim}")
-        fn = checker["egd" if claim == "egd-sweep" else claim]
-        reports = [fn(ctx) for ctx in contexts]
+        reports = [checker[claim](ctx) for ctx in contexts]
         payload = {
             "claim": claim,
             "max_n": max_n,

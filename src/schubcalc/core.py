@@ -264,14 +264,17 @@ def _layer_sizes(ctx: GrassmannContext, hi: int) -> list[int]:
     """``len(box_layer(ctx, w))`` for w = 0, ..., hi, counted without building a layer.
 
     The sizes are the coefficients of the Gaussian binomial
-    [n+1 choose k+1]_q = prod_{i=1..k+1} (1 - q^(n-k+i)) / (1 - q^i)
+    [n+1 choose k+1]_q = prod_{i=1..r} (1 - q^(c+i)) / (1 - q^i)
     (Andrews, *The Theory of Partitions*, ch. 3), computed as a power
-    series cut after q^hi; they are 0 beyond dim.
+    series cut after q^hi; they are 0 beyond dim.  It is symmetric in
+    the box sides, so r is the shorter side and c the longer, and a
+    factor with i > hi is 1 below q^(hi+1): min(rows, cols, hi) factors.
     """
+    short, long = sorted((ctx.rows, ctx.cols))
     sizes = [1] + [0] * hi
-    for i in range(1, ctx.rows + 1):
-        for w in range(hi, ctx.cols + i - 1, -1):  # times (1 - q^(cols+i))
-            sizes[w] -= sizes[w - ctx.cols - i]
+    for i in range(1, min(short, hi) + 1):
+        for w in range(hi, long + i - 1, -1):  # times (1 - q^(long+i))
+            sizes[w] -= sizes[w - long - i]
         for w in range(i, hi + 1):  # divided by (1 - q^i)
             sizes[w] += sizes[w - i]
     return sizes

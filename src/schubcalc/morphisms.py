@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from schubcalc.core import GrassmannContext, _integers
-from schubcalc.search import has_mdpair_of_type
+from schubcalc.search import _checked_contexts, has_mdpair_of_type
 
 MUST_BE_CONSTANT = "MUST_BE_CONSTANT"
 NONCONSTANT_IMPLIES_ISOMORPHISM = "NONCONSTANT_IMPLIES_ISOMORPHISM"
@@ -140,10 +140,16 @@ def classify(query: MorphismQuery) -> ClassificationOutcome:
 
 
 def classify_table(n: int) -> list[list[ClassificationOutcome]]:
-    """The full (l, k) grid of classifications for fixed n, l indexing rows."""
+    """The full (l, k) grid of classifications for fixed n, l indexing rows.
+
+    Every domain the md-pair search will read, G(l, n) for
+    1 <= l <= n-2, is checked against the scan limit before the first
+    cell is classified, so an oversized table is a ``ValueError`` at once.
+    """
     (n,) = _integers("classification table n =", (n,))
     if n < 3:
         raise ValueError(f"classification table needs n >= 3, got {n}")
+    _checked_contexts(GrassmannContext(l, n) for l in range(1, n - 1))
     return [
         [classify(MorphismQuery(l, k, n)) for k in range(n)] for l in range(n)
     ]

@@ -26,36 +26,29 @@ pair {(1, ..., 1), (n-k, 0, ..., 0)} vanishes at n+1 in every G(k, n),
 so the md-pairs always lie in that shell; the bound does not assume
 egd = n, and a pair vanishing lower would be reported.
 ``_shell_zeros`` is the one memoized search result, a few pairs per
-context, so every reader of the shell shares one scan.  thm-md reads
-the shell zeros plus one Littlewood-Richardson cross-check,
-``_lr_disagreements``, which asks the LR rule of every pair of the
-shell whether its box-truncated product is zero and yields the pairs
-where that answer and the vanishing test disagree.  It multiplies
-nothing: ``chow._lr_vanishes`` looks for one LR tableau with its shape
-inside the box and stops at the first.  It is the only code here that
-uses the LR rule, and ``search_report(cross_validate=True)`` runs it
-too.  Each of its pairs costs a tableau walk, so it has its own,
-smaller size limit, ``MAX_LR_PAIRS``.
+context.  thm-md and ``search_report(cross_validate=True)`` also run
+the one Littlewood-Richardson cross-check, ``_lr_disagreements``, over
+the shell: it asks ``chow._lr_vanishes`` whether each pair's
+box-truncated product is zero and yields the pairs where that answer
+and the vanishing test disagree.  Each of its pairs costs a tableau
+walk, so it has its own, smaller size limit, ``MAX_LR_PAIRS``.
 
 Every pair scan runs through one kernel, ``_scan``, which builds only
 the weight layers (:func:`schubcalc.core.box_layer`) up to its
-codimension bound, n+1 for the claims, and keeps them only while it
-runs.  It counts its pairs first (``_pair_count``, from the layer sizes
-``core._layer_sizes``, no layer built) and refuses a scan of more than
-``MAX_SCAN_PAIRS`` pairs with a ``ValueError`` (``_check_scan_size``,
-which the CLI also runs on every context of a sweep before checking
-the first).  It tests each pair with the O(k) vanishing criterion as a
-containment check, ``b`` not inside ``dual(a)``, through the single
-predicate ``_not_contained`` of :mod:`schubcalc.core`, which
-:func:`schubcalc.chow.pair_vanishes` uses as well.
-``verify_prop_comp`` is the ordered reading of the shell zeros: lam is
-not inside mu exactly when ``sigma_lam * sigma_dual(mu)`` vanishes, so
-each unordered pair {a, b} is the two hypotheses (a, dual(b)) and
-(b, dual(a)); it scans nothing itself.  Theorem md's pair and that
-ordered reading are each written once (``_md_pair``, ``_orderings``),
-and so is the pass rule of the claims (``_report``).  Pair enumeration
-is deterministic: partitions are ordered by (weight, parts) and
-unordered pairs are canonicalized with the smaller partition first.
+codimension bound and keeps them only while it runs.  Before that,
+``_check_scan_size`` refuses more than ``MAX_SCAN_PAIRS`` pairs with a
+``ValueError``, from a closed-form lower bound or from the layer sizes
+``core._layer_sizes``, never from a layer; ``_checked_contexts`` runs
+it on every context of a sweep or a classification table before the
+first is checked.  Each pair is tested as ``b`` not inside ``dual(a)``
+through the single predicate ``_not_contained`` of
+:mod:`schubcalc.core`, which :func:`schubcalc.chow.pair_vanishes` uses
+as well.  ``verify_prop_comp`` is the ordered reading of the shell
+zeros: lam is not inside mu exactly when ``sigma_lam * sigma_dual(mu)``
+vanishes, so each unordered pair {a, b} is the two hypotheses
+(a, dual(b)) and (b, dual(a)).  Pair enumeration is deterministic:
+partitions are ordered by (weight, parts) and unordered pairs are
+canonicalized with the smaller partition first.
 """
 
 from __future__ import annotations
@@ -63,6 +56,7 @@ from __future__ import annotations
 import time
 from collections import namedtuple
 from functools import lru_cache
+from itertools import accumulate
 
 from schubcalc.chow import _lr_vanishes
 from schubcalc.core import (
@@ -163,18 +157,47 @@ def _check_scan_size(ctx: GrassmannContext, hi: int, lr: bool = False) -> None:
     """Raise ``ValueError`` if ``ctx`` has too many pairs up to ``hi``.
 
     A scan may test ``MAX_SCAN_PAIRS`` pairs, and one that asks the LR
-    rule of each pair (``lr``) ``MAX_LR_PAIRS``.  Counted from the layer
-    sizes, without building a layer.  ``_scan`` and
-    ``_lr_disagreements`` call it before they scan, and the CLI on every
-    context of a sweep before checking the first.
+    rule of each pair (``lr``) ``MAX_LR_PAIRS``.  ``_scan`` and
+    ``_lr_disagreements`` call it before they scan, and
+    ``_checked_contexts`` on every context of a sweep.
+
+    A request far over the limit is refused in O(1), before any list of
+    length ``hi`` is built, by a lower bound: with t the smaller of
+    hi // 2 and the longer side of the box, the partitions of weight
+    <= t with at most two parts (or, transposed, two columns) number
+    t + 1 when the shorter side is 1 and (t + 2)**2 // 4 otherwise, and
+    any two of them pair within ``hi``.  Otherwise the exact count is
+    taken from the layer sizes, without building a layer.
     """
     limit = MAX_LR_PAIRS if lr else MAX_SCAN_PAIRS
-    count = _pair_count(ctx, hi)
+    short, long = sorted((ctx.rows, ctx.cols))
+    t = min(hi // 2, long)
+    few = t + 1 if short == 1 else (t + 2) ** 2 // 4
+    count = few * (few + 1) // 2
     if count > limit:
-        raise ValueError(
-            f"{ctx} has {count} basis pairs with codim sum <= {hi}, "
-            f"over the scan limit of {limit}" + (" for an LR cross-check" if lr else "")
-        )
+        count = f"at least {count}"
+    else:
+        count = _pair_count(ctx, hi)
+        if count <= limit:
+            return
+    raise ValueError(
+        f"{ctx} has {count} basis pairs with codim sum <= {hi}, "
+        f"over the scan limit of {limit}" + (" for an LR cross-check" if lr else "")
+    )
+
+
+def _checked_contexts(contexts, lr: bool = False) -> list[GrassmannContext]:
+    """``contexts`` as a list, each first passed through ``_check_scan_size`` at n+1.
+
+    The pre-check of a sweep and of a classification table: an
+    oversized context is refused before any context is checked, and no
+    context after it is drawn from ``contexts``.
+    """
+    checked = []
+    for ctx in contexts:
+        _check_scan_size(ctx, ctx.n + 1, lr)
+        checked.append(ctx)
+    return checked
 
 
 def _scan(ctx: GrassmannContext, hi: int):
@@ -275,38 +298,33 @@ def has_mdpair_of_type(ctx: GrassmannContext, pair_type) -> bool:
 def _pair_count(ctx: GrassmannContext, max_codim_sum: int) -> int:
     """Number of unordered basis pairs (self-pairs included) with codim sum <= bound.
 
-    Counted from the layer sizes, without building a layer.
+    Counted in one pass from the layer sizes, without building a layer:
+    the ordered pairs plus the self-pairs, halved.
     """
-    cnt = _layer_sizes(ctx, max_codim_sum)
-    scanned = 0
-    for wa in range(max_codim_sum // 2 + 1):
-        scanned += cnt[wa] * (cnt[wa] + 1) // 2
-        scanned += cnt[wa] * sum(cnt[wa + 1:max_codim_sum - wa + 1])
-    return scanned
+    size = _layer_sizes(ctx, max_codim_sum)
+    upto = list(accumulate(size))
+    ordered = sum(c * upto[max_codim_sum - w] for w, c in enumerate(size))
+    return (ordered + upto[max_codim_sum // 2]) // 2
 
 
 def search_report(ctx: GrassmannContext, cross_validate: bool = False) -> SearchReport:
     """Full md-pair search: egd, zero pairs at the critical codimension, timing.
 
     Nothing below egd + 1 vanishes, so the zero pairs are the md-pairs.
-    ``cross_validate`` also asks the LR rule whether every pair up to
-    egd + 1 vanishes, by looking for one tableau inside the box
-    (``_lr_disagreements``), and raises ``RuntimeError`` on the first
-    pair where it disagrees with the Bruhat test.  Its size limit is
-    checked at n + 1, which bounds egd + 1, before the shell is scanned.
+    ``cross_validate`` first asks the LR rule of every pair of the shell
+    (``_lr_disagreements``) and raises ``RuntimeError`` on the first
+    pair where it disagrees with the Bruhat test.
     """
-    if cross_validate:
-        _check_scan_size(ctx, ctx.n + 1, lr=True)
     start = time.perf_counter()
-    pairs = md_pairs(ctx)
-    egd = compute_egd(ctx)
-    limit = egd + 1
     if cross_validate:
-        for a, b, fast in _lr_disagreements(ctx, limit):
+        for a, b, fast in _lr_disagreements(ctx, ctx.n + 1):
             raise RuntimeError(
                 f"vanishing criterion disagrees with LR product on "
                 f"{a} x {b} in {ctx}: fast={fast}, lr={not fast}"
             )
+    pairs = md_pairs(ctx)
+    egd = compute_egd(ctx)
+    limit = egd + 1
     scanned = _pair_count(ctx, limit)
     elapsed_ms = int(round((time.perf_counter() - start) * 1000))
     return SearchReport(

@@ -1,6 +1,10 @@
 """CLI contract: output formats, JSON twins, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -182,6 +186,63 @@ class TestEgdCommand:
         assert out == ""
         assert err.startswith("error: G(30,60) has 3000205515 basis pairs")
         assert str(search.MAX_SCAN_PAIRS) in err
+
+
+class TestOversizedRequests:
+    """Every oversized request is refused before a layer, a long list or a cell is built."""
+
+    @pytest.mark.parametrize("argv", [
+        "egd --k 1 --n 60000",
+        "egd --k 1 --n 200000",
+        "egd --k 1 --n 1000000000",
+        "egd --k 3000 --n 6000",
+        "egd --k 6000 --n 12000",
+        "egd --k 199998 --n 200000",
+        "classify --n 100000",
+        "classify --n 37",
+    ])
+    def test_exits_two_at_once(self, capsys, monkeypatch, argv):
+        import schubcalc.morphisms as morphisms
+        import schubcalc.search as search
+
+        real_sizes = search._layer_sizes
+
+        def small_sizes(ctx, hi):
+            if hi > 10_000:
+                raise AssertionError(f"_layer_sizes({ctx}, {hi}) built for an oversized request")
+            return real_sizes(ctx, hi)
+
+        def refuse(*args):
+            raise AssertionError(f"{args} built for an oversized request")
+
+        monkeypatch.setattr(search, "_layer_sizes", small_sizes)
+        monkeypatch.setattr(search, "box_layer", refuse)
+        monkeypatch.setattr(morphisms, "classify", refuse)
+        code, out, err = run(capsys, *argv.split())
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: G(")
+        if argv == "classify --n 37":
+            assert err.startswith("error: G(12,37) has 10084016 basis pairs")
+
+
+class TestModuleEntryPoint:
+    """``python -m schubcalc`` runs ``__main__`` and ``main_entry`` in a fresh process."""
+
+    @pytest.mark.parametrize("argv,code,out", [
+        ("egd --k 2 --n 5", 0, "egd(G(2,5)) = 5\n"),
+        ("egd --k 2", 2, ""),
+    ])
+    def test_exit_code_and_output(self, argv, code, out):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-m", "schubcalc", *argv.split()],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == code
+        assert done.stdout == out
+        assert done.stderr.startswith("error:") == (code == 2)
 
 
 class TestVerifyCommand:

@@ -4,7 +4,9 @@ The exhaustive checks elsewhere stop at n = 8; these draw contexts and
 basis pairs beyond that range and compare the LR tableau walk with the
 Schur oracle, with its own fillings, with itself under swapped factors
 and regrouped triples, and with the Pieri rule, and the LR rule's
-vanishing verdict with the product and the Bruhat test.
+vanishing verdict with the product and the Bruhat test.  The
+symbol/partition/dual conversions, checked exhaustively up to n = 10,
+are drawn up to n = 16.
 """
 
 from hypothesis import given
@@ -13,12 +15,16 @@ from hypothesis import strategies as st
 from schubcalc import (
     GrassmannContext,
     box_layer,
+    dim_partition_to_symbol,
+    dual_partition,
+    dual_symbol,
     lr_coefficient,
     lr_fillings,
     lr_oracle,
     multiply,
     pair_vanishes,
     schubert_class,
+    symbol_to_dim_partition,
 )
 from schubcalc.chow import _lr_vanishes
 
@@ -148,3 +154,26 @@ def test_one_row_factor_follows_pieri(case):
         if all(a[r] <= nu[r] <= (a[r - 1] if r else ctx.cols) for r in range(ctx.rows))
     }
     assert product(ctx, a, (p,) + (0,) * ctx.k) == expected
+
+
+@st.composite
+def symbols_and_partitions(draw):
+    """A context with n <= 16, one of its Schubert symbols and one box partition."""
+    n = draw(st.integers(1, 16))
+    ctx = GrassmannContext(draw(st.integers(0, n - 1)), n)
+    indices = st.integers(1, n + 1)
+    symbol = tuple(sorted(draw(st.lists(indices, min_size=ctx.rows, max_size=ctx.rows, unique=True))))
+    return ctx, symbol, draw(partitions_inside((ctx.cols,) * ctx.rows))
+
+
+@given(symbols_and_partitions())
+def test_symbol_partition_dual_round_trips(case):
+    ctx, symbol, p = case
+    lam = symbol_to_dim_partition(ctx, symbol)
+    assert dim_partition_to_symbol(ctx, lam) == symbol
+    assert symbol_to_dim_partition(ctx, dim_partition_to_symbol(ctx, p)) == p
+    assert dual_symbol(ctx, dual_symbol(ctx, symbol)) == symbol
+    assert dual_partition(ctx, dual_partition(ctx, p)) == p
+    assert sum(p) + sum(dual_partition(ctx, p)) == ctx.dim
+    # the diagram of the dual symbol is the dual of the diagram
+    assert symbol_to_dim_partition(ctx, dual_symbol(ctx, symbol)) == dual_partition(ctx, lam)

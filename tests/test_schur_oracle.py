@@ -6,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import schubcalc
 from schubcalc import GrassmannContext, box_partitions, lr_coefficient, lr_oracle
@@ -118,6 +120,20 @@ class TestAgainstNaiveReference:
         for lam in shapes:
             for mu in [(1,), (1, 1), (2, 1), (1, 1, 1, 1)]:
                 assert lr_oracle(lam, mu, 5) == naive_schur_expand(lam, mu, 5), (lam, mu)
+
+
+@st.composite
+def small_shape_pairs(draw):
+    """Two shapes of at most 3 rows and parts at most 3, and enough variables for both."""
+    shape = st.lists(st.integers(1, 3), max_size=3).map(lambda p: tuple(sorted(p, reverse=True)))
+    lam, mu = draw(shape), draw(shape)
+    return lam, mu, draw(st.integers(max(1, len(lam), len(mu)), 4))
+
+
+@given(small_shape_pairs())
+def test_drawn_shapes_match_naive_reference(case):
+    lam, mu, nvars = case
+    assert lr_oracle(lam, mu, nvars) == naive_schur_expand(lam, mu, nvars)
 
 
 def test_import_loads_no_numpy():

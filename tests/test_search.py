@@ -2,6 +2,7 @@
 
 import re
 import sys
+from bisect import bisect_right
 from collections import Counter
 from itertools import combinations_with_replacement
 from math import comb
@@ -393,6 +394,20 @@ class TestOneShellScan:
                 size = comb(n + 1, k + 1)
                 assert search._pair_count(ctx, 2 * ctx.dim) == size * (size + 1) // 2, ctx
 
+    def test_pair_count_matches_built_layers_at_every_bound(self):
+        import schubcalc.search as search
+
+        for n in range(1, 10):
+            for k in range(n):
+                ctx = GrassmannContext(k, n)
+                weights = sorted(sum(p) for p in box_partitions(ctx))
+                for hi in range(2 * ctx.dim + 1):
+                    # pairs i <= j of the weight-sorted box with weights[i] + weights[j] <= hi
+                    built = sum(
+                        max(0, bisect_right(weights, hi - w) - i) for i, w in enumerate(weights)
+                    )
+                    assert search._pair_count(ctx, hi) == built, (ctx, hi)
+
     def test_claims_on_one_context_make_one_scan(self, monkeypatch):
         import schubcalc.search as search
 
@@ -427,6 +442,20 @@ class TestScanLimit:
             for k in range(n):
                 assert search._pair_count(GrassmannContext(k, n), n + 1) <= search.MAX_SCAN_PAIRS
         assert search._pair_count(GrassmannContext(14, 30), 31) == 1_455_537
+
+    def test_closed_form_refusal_is_a_lower_bound(self, monkeypatch):
+        import schubcalc.search as search
+
+        # with no pair allowed, every check refuses by the closed-form bound
+        monkeypatch.setattr(search, "MAX_SCAN_PAIRS", 0)
+        for n in range(1, 30):
+            for k in range(n):
+                ctx = GrassmannContext(k, n)
+                for hi in sorted({0, 1, n, n + 1, 2 * ctx.dim}):
+                    with pytest.raises(ValueError, match="has at least") as err:
+                        search._check_scan_size(ctx, hi)
+                    bound = int(re.search(r"at least (\d+)", str(err.value)).group(1))
+                    assert bound <= search._pair_count(ctx, hi), (ctx, hi)
 
     def test_oversized_scan_is_refused_by_name(self):
         import schubcalc.search as search
