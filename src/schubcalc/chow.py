@@ -14,14 +14,15 @@ reading word is a lattice word.  The sum is truncated to the box, which
 is exactly the quotient presentation of the Chow ring.
 
 One walk, ``_lr_walk``, enumerates these tableaux: it adds the content
-to lam one letter at a time, each letter's cells a horizontal strip,
-and enforces the lattice-word condition as each strip is placed.
-Basis products count the shapes it ends in, ``lr_coefficient`` counts
-its tableaux inside a fixed nu, and ``lr_fillings`` reads their rows
-off the same chains of shapes.  ``_lr_vanishes`` asks the walk only
-whether the box-truncated product is zero: one tableau with nu inside
-the box answers it, so it stops at the first chain and builds no
-product.  The claims' LR cross-check runs through it.
+to lam one letter at a time, each letter's cells a horizontal strip
+made lazily, row by row, with the lattice-word condition kept as one
+running count while the strip is placed.  Basis products count the
+shapes it ends in, ``lr_coefficient`` counts its tableaux inside a
+fixed nu, and ``lr_fillings`` reads their rows off the same chains of
+shapes.  ``_lr_vanishes`` asks the walk only whether the box-truncated
+product is zero: one tableau with nu inside the box answers it, so it
+stops at the first chain and builds no other strip and no product.
+The claims' LR cross-check runs through it.
 
 The module also provides the O(k) vanishing test: ``[X_I]*[X_J]`` is
 nonzero if and only if the dual symbol of I is Bruhat-below J, i.e.
@@ -157,49 +158,24 @@ def zero_class(ctx: GrassmannContext) -> CycleClass:
     return CycleClass(ctx, {})
 
 
-def _strips(shape, outer, size, bound):
-    """The shapes made by adding a horizontal strip of ``size`` cells to ``shape``.
-
-    Row r grows to at most ``outer[r]`` and, so that no two new cells
-    share a column, to at most the old length of row r-1.  ``bound[r]``,
-    when given, caps the strip's cells in rows <= r.  Upper rows are
-    filled first.
-    """
-    rows = len(shape)
-    room = [0] * (rows + 1)  # room[r]: cells the strip can still take in rows >= r
-    for r in range(rows - 1, -1, -1):
-        room[r] = room[r + 1] + min(outer[r], shape[r - 1] if r else outer[0]) - shape[r]
-    if room[0] < size:
-        return []
-    out = []
-
-    def grow(r, left, prefix):
-        if not left:
-            out.append(prefix + shape[r:])
-            return
-        hi = min(left, room[r] - room[r + 1])
-        if bound is not None:
-            hi = min(hi, bound[r] - size + left)
-        for x in range(hi, max(0, left - room[r + 1]) - 1, -1):
-            grow(r + 1, left - x, prefix + (shape[r] + x,))
-
-    grow(0, size, ())
-    return out
-
-
 def _lr_walk(lam, mu, outer):
     """Yield every LR tableau of shape nu/lam and content mu with nu inside ``outer``.
 
     Each tableau is yielded as its chain of shapes ``(lam, ..., nu)``:
     the cells holding letter i are the horizontal strip between the
     i-th and (i+1)-th shapes.  Letters are added one strip at a time,
-    and the lattice-word condition on the reading word (right to left,
-    top to bottom) is enforced as each strip is placed: for every
-    letter i > 1 and every row r, the i's in rows <= r may not outnumber
-    the (i-1)'s in rows < r.  ``outer`` is a weakly decreasing tuple
-    whose length caps the number of rows; ``lam`` may carry trailing
-    zeros up to ``len(outer)``, and trailing zero letters of ``mu`` are
-    ignored.
+    and each strip is made lazily, row by row: upper rows first, each
+    row taking its largest share first, so a caller that stops at the
+    first chain builds no other strip.  Row r of a strip grows to at
+    most ``outer[r]`` and, so that no two new cells share a column, to
+    at most the old length of row r-1; ``room`` prunes a share that
+    leaves more cells than the rows below can take.  The lattice-word
+    condition on the reading word (right to left, top to bottom) is one
+    running count, ``lattice``: the (i-1)'s in the rows above, less the
+    i's placed so far, which caps each row's share.  ``outer`` is a weakly
+    decreasing tuple whose length caps the number of rows; ``lam`` may
+    carry trailing zeros up to ``len(outer)``, and trailing zero letters
+    of ``mu`` are ignored.
     This is the strip-by-strip scheme of Buch's lrcalc for the rule of
     Fulton, *Young Tableaux*, section 5.
     """
@@ -215,13 +191,24 @@ def _lr_walk(lam, mu, outer):
         if i == last:
             yield chain
             return
-        bound = None
-        if i:  # the previous letter's cells in rows < r, for each row r
-            prev, shape = chain[-2], chain[-1]
-            bound = [0] * rows
-            for r in range(1, rows):
-                bound[r] = bound[r - 1] + shape[r - 1] - prev[r - 1]
-        for nxt in _strips(chain[-1], outer, mu[i], bound):
+        shape = chain[-1]
+        prev = chain[-2] if i else shape  # the first letter has no lattice count
+        room = [0] * (rows + 1)  # room[r]: cells the strip can still take in rows >= r
+        for r in range(rows - 1, -1, -1):
+            room[r] = room[r + 1] + min(outer[r], shape[r - 1] if r else outer[0]) - shape[r]
+
+        # Rows recurse in their own generator, suspended while later letters are
+        # walked, so the stack holds at most letters + rows frames.
+        def strips(r, left, prefix, lattice):
+            if not left:
+                yield prefix + shape[r:]
+                return
+            for x in range(min(left, lattice, room[r] - room[r + 1]),
+                           max(0, left - room[r + 1]) - 1, -1):
+                yield from strips(r + 1, left - x, prefix + (shape[r] + x,),
+                                  lattice - x + shape[r] - prev[r])
+
+        for nxt in strips(0, mu[i], (), 0 if i else mu[i]):
             yield from walk(chain + (nxt,), i + 1)
 
     yield from walk((start,), 0)

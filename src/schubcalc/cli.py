@@ -24,6 +24,7 @@ from schubcalc.chow import (
 )
 from schubcalc.core import (
     GrassmannContext,
+    _check_render_size,
     dim_partition_to_symbol,
     dual_partition,
     dual_symbol,
@@ -160,6 +161,7 @@ def _cmd_convert(args):
 
 def _cmd_render(args):
     ctx = GrassmannContext(args.k, args.n)
+    _check_render_size(ctx)  # before the partitions are padded to k+1 parts
     lam = normalize_partition(ctx, args.partition)
     overlay = normalize_partition(ctx, args.overlay) if args.overlay is not None else None
     diagram = render_diagram(ctx, lam, overlay)

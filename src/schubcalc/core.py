@@ -50,6 +50,9 @@ FILLED = "#"
 EMPTY = "."
 OVERLAY = "*"
 
+# The most box cells :func:`render_diagram` draws, two characters each.
+MAX_RENDER_CELLS = 1_000_000
+
 
 class GrassmannContext(namedtuple("GrassmannContext", "k n")):
     """The ambient Grassmannian G(k, n) of projective k-planes in P^n."""
@@ -122,9 +125,7 @@ def _reduced(parts) -> tuple[int, ...]:
     p = _integers("partition", parts)
     if any(a < b for a, b in zip(p, p[1:])) or (p and p[-1] < 0):
         raise ValueError(f"{p} is not a partition")
-    while p and p[-1] == 0:
-        p = p[:-1]
-    return p
+    return p[:len(p) - p.count(0)]  # weakly decreasing and nonnegative: the zeros trail
 
 
 def normalize_partition(ctx: GrassmannContext, parts) -> Partition:
@@ -294,14 +295,29 @@ def all_symbols(ctx: GrassmannContext) -> tuple[SchubertSymbol, ...]:
     return tuple(combinations(range(1, ctx.n + 2), ctx.rows))
 
 
+def _check_render_size(ctx: GrassmannContext) -> None:
+    """Raise ``ValueError`` if the box of ``ctx`` has more than ``MAX_RENDER_CELLS`` cells.
+
+    O(1): callers check it before they build any list of box length,
+    a partition padded to k+1 parts included.
+    """
+    if ctx.dim > MAX_RENDER_CELLS:
+        raise ValueError(
+            f"{ctx} has {ctx.dim} box cells, over the render limit of {MAX_RENDER_CELLS}"
+        )
+
+
 def render_diagram(ctx: GrassmannContext, parts, overlay=None) -> str:
     """Fixed-width ASCII rendering of a Young diagram in its box.
 
     Each cell is two characters: ``"# "`` for a cell of the partition,
     ``". "`` for an empty box cell, ``"* "`` for an overlay cell
     (overlay wins over fill).  Trailing whitespace is stripped from each
-    row and every row, including the last, ends with a newline.
+    row and every row, including the last, ends with a newline.  A box
+    of more than ``MAX_RENDER_CELLS`` cells is a ``ValueError``, raised
+    before the partition is read.
     """
+    _check_render_size(ctx)
     p = check_partition(ctx, parts)
     o = check_partition(ctx, overlay) if overlay is not None else None
     lines = []

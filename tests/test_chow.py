@@ -92,6 +92,7 @@ class TestLrCoefficient:
 
     def test_trailing_zeros_ignored(self):
         assert lr_coefficient((1, 0, 0), (1, 0), (1, 1, 0)) == 1
+        assert lr_coefficient((1,) + (0,) * 10**5, (1,), (1, 1)) == 1
 
     def test_symmetry_random(self):
         rng = random.Random(7)
@@ -275,6 +276,14 @@ class TestLrVanishing:
                     zero = not multiply(schubert_class(ctx, a), schubert_class(ctx, b))
                     assert _lr_vanishes(ctx, a, b) == _lr_vanishes(ctx, b, a) == zero, (ctx, a, b)
                     assert pair_vanishes(ctx, a, b) == zero, (ctx, a, b)
+
+    def test_existence_stops_at_the_first_strip(self):
+        # the one letter of b has 2**30 horizontal strips on the staircase a;
+        # the first one, all 30 cells in the top row, already fits the box
+        ctx = GrassmannContext(30, 90)
+        a = tuple(range(30, -1, -1))
+        b = (30,) + (0,) * 30
+        assert not _lr_vanishes(ctx, a, b)
 
     def test_tableau_route_never_calls_the_containment_predicate(self, monkeypatch):
         import schubcalc.chow as chow

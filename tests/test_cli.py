@@ -200,6 +200,8 @@ class TestOversizedRequests:
         "egd --k 199998 --n 200000",
         "classify --n 100000",
         "classify --n 37",
+        "render --k 0 --n 1000001 --partition 1",
+        "render --k 999999999 --n 1000000000 --partition 1",
     ])
     def test_exits_two_at_once(self, capsys, monkeypatch, argv):
         import schubcalc.morphisms as morphisms
@@ -218,12 +220,15 @@ class TestOversizedRequests:
         monkeypatch.setattr(search, "_layer_sizes", small_sizes)
         monkeypatch.setattr(search, "box_layer", refuse)
         monkeypatch.setattr(morphisms, "classify", refuse)
+        monkeypatch.setattr(cli, "normalize_partition", refuse)
         code, out, err = run(capsys, *argv.split())
         assert code == 2
         assert out == ""
         assert err.startswith("error: G(")
         if argv == "classify --n 37":
             assert err.startswith("error: G(12,37) has 10084016 basis pairs")
+        if argv.startswith("render"):
+            assert "over the render limit of 1000000" in err
 
 
 class TestModuleEntryPoint:
