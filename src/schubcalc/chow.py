@@ -19,10 +19,11 @@ made lazily, row by row, with the lattice-word condition kept as one
 running count while the strip is placed.  Basis products count the
 shapes it ends in, ``lr_coefficient`` counts its tableaux inside a
 fixed nu, and ``lr_fillings`` reads their rows off the same chains of
-shapes.  ``_lr_vanishes`` asks the walk only whether the box-truncated
-product is zero: one tableau with nu inside the box answers it, so it
-stops at the first chain and builds no other strip and no product.
-The claims' LR cross-check runs through it.
+shapes.  ``_lr_vanishes`` asks only whether the box-truncated product
+is zero, which one tableau inside the box answers; two are known with
+no walk (the factors' rows added or merged), so it walks, up to the
+first chain, only a pair that fits neither.  The claims' LR cross-check
+runs through it.
 
 The module also provides the O(k) vanishing test: ``[X_I]*[X_J]`` is
 nonzero if and only if the dual symbol of I is Bruhat-below J, i.e.
@@ -253,12 +254,18 @@ def lr_coefficient(lam, mu, nu) -> int:
 def _lr_vanishes(ctx: GrassmannContext, a: Partition, b: Partition) -> bool:
     """Whether the box-truncated product ``sigma_a * sigma_b`` is zero, by the LR rule.
 
-    The product is nonzero exactly when some LR tableau of shape nu/lam
-    and content mu has nu inside the box, so this stops at the first
-    chain of :func:`_lr_walk` and builds no nu beyond it.  The factor
-    with fewer nonzero parts is the content, which keeps the walk
-    shallow.  ``a`` and ``b`` are box partitions of ``ctx``.
+    Nonzero exactly when some LR tableau of shape nu/a and content b has
+    nu inside the box.  Two are known (Fulton, *Young Tableaux*, section
+    5): c^{a+b}_{a,b} = 1, rows added, is inside when a_1 + b_1 <= n-k,
+    and c^{a u b}_{a,b} = 1, rows merged, when l(a) + l(b) <= k+1, l
+    counting nonzero parts.  A pair that fits neither weighs at least
+    (a_1 + l(a) - 1) + (b_1 + l(b) - 1) >= n+1, equality only for two
+    hooks; only such pairs are walked, to the first chain of
+    :func:`_lr_walk`, the factor of fewer nonzero parts as the content.
+    ``a`` and ``b`` are box partitions of ``ctx``.
     """
+    if a[0] + b[0] <= ctx.cols or a.count(0) + b.count(0) >= ctx.rows:
+        return False
     lam, mu = (b, a) if a.count(0) > b.count(0) else (a, b)
     return next(_lr_walk(lam, mu, (ctx.cols,) * ctx.rows), None) is None
 

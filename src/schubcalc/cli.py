@@ -135,6 +135,7 @@ def _cmd_convert(args):
         sym = args.symbol
         lam = symbol_to_dim_partition(ctx, sym)
     else:
+        _check_render_size(ctx, parts_only=True)  # before the partition is padded
         lam = normalize_partition(ctx, args.partition)
         sym = dim_partition_to_symbol(ctx, lam)
     codim = dual_partition(ctx, lam)
@@ -177,6 +178,7 @@ def _cmd_render(args):
 
 def _cmd_product(args):
     ctx = GrassmannContext(args.k, args.n)
+    _check_render_size(ctx, parts_only=True)  # before the partitions are padded
     a = normalize_partition(ctx, args.a)
     b = normalize_partition(ctx, args.b)
     result = multiply(schubert_class(ctx, a), schubert_class(ctx, b))
@@ -267,8 +269,6 @@ def _cmd_verify(args):
             for k in range(n)
             if claim == "egd-sweep" or 1 <= k <= n - 2
         )
-        if claim == "thm-md":  # its LR cross-check has a smaller limit
-            _checked_contexts(contexts, lr=True)
         if not contexts:  # a sweep over nothing must not report "pass"
             raise ValueError(f"--max-n {max_n} leaves no context to check for {claim}")
         reports = [checker[claim](ctx) for ctx in contexts]
@@ -340,17 +340,18 @@ def main(argv=None) -> int:
     except RuntimeError as err:  # cross-validation found the two routes disagreeing
         print(f"error: {err}", file=sys.stderr)
         return 1
-    twin = json.dumps(payload, indent=2, sort_keys=True)
+    if args.output or args.format == "json":  # the JSON twin, built only when it is used
+        twin = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.output:
         try:
             with open(args.output, "w") as out:
-                out.write(twin + "\n")
+                out.write(twin)
         except OSError as err:
             print(f"error: cannot write --output {args.output}: {err.strerror or err}",
                   file=sys.stderr)
             return 2
     if args.format == "json":
-        sys.stdout.write(twin + "\n")
+        sys.stdout.write(twin)
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
     return code

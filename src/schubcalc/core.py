@@ -50,7 +50,7 @@ FILLED = "#"
 EMPTY = "."
 OVERLAY = "*"
 
-# The most box cells :func:`render_diagram` draws, two characters each.
+# The most box cells ``render`` draws, or parts the CLI pads a partition to.
 MAX_RENDER_CELLS = 1_000_000
 
 
@@ -295,16 +295,16 @@ def all_symbols(ctx: GrassmannContext) -> tuple[SchubertSymbol, ...]:
     return tuple(combinations(range(1, ctx.n + 2), ctx.rows))
 
 
-def _check_render_size(ctx: GrassmannContext) -> None:
-    """Raise ``ValueError`` if the box of ``ctx`` has more than ``MAX_RENDER_CELLS`` cells.
+def _check_render_size(ctx: GrassmannContext, parts_only: bool = False) -> None:
+    """Raise ``ValueError`` if a request on ``ctx`` builds over ``MAX_RENDER_CELLS`` items.
 
-    O(1): callers check it before they build any list of box length,
-    a partition padded to k+1 parts included.
+    A render builds every box cell; ``parts_only`` counts only the k+1
+    parts a partition is padded to (``convert --partition``, ``product``).
+    O(1): callers check it before they build any list of box length.
     """
-    if ctx.dim > MAX_RENDER_CELLS:
-        raise ValueError(
-            f"{ctx} has {ctx.dim} box cells, over the render limit of {MAX_RENDER_CELLS}"
-        )
+    size, what = (ctx.rows, "partition parts") if parts_only else (ctx.dim, "box cells")
+    if size > MAX_RENDER_CELLS:
+        raise ValueError(f"{ctx} has {size} {what}, over the size limit of {MAX_RENDER_CELLS}")
 
 
 def render_diagram(ctx: GrassmannContext, parts, overlay=None) -> str:

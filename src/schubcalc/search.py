@@ -30,8 +30,10 @@ context.  thm-md and ``search_report(cross_validate=True)`` also run
 the one Littlewood-Richardson cross-check, ``_lr_disagreements``, over
 the shell: it asks ``chow._lr_vanishes`` whether each pair's
 box-truncated product is zero and yields the pairs where that answer
-and the vanishing test disagree.  Each of its pairs costs a tableau
-walk, so it has its own, smaller size limit, ``MAX_LR_PAIRS``.
+and the vanishing test disagree.  It answers a pair from one of two
+tableaux known to fit, the factors' rows added or merged, and walks
+only a pair that fits neither: in the shell, two hooks of weight n+1
+(6 in G(2, 6), 78 of 215,387 in G(12, 24)).  The scan limit bounds it.
 
 Every pair scan runs through one kernel, ``_scan``, which builds only
 the weight layers (:func:`schubcalc.core.box_layer`) up to its
@@ -71,13 +73,6 @@ ZeroPair = tuple[Partition, Partition, int]
 # pairs, a few seconds) included; a larger request is a usage error
 # before any layer is built, not an out-of-memory crash or a hang.
 MAX_SCAN_PAIRS = 10_000_000
-
-# The most pairs one LR cross-check (thm-md, a cross-validated report)
-# may ask the LR rule about, at 30 to 50 microseconds a pair (G(12, 24)
-# takes 8 to 10 s on a 2-core host with Python 3.11).  It admits
-# every G(k, n) with n <= 24, G(12, 24) (215,387 pairs) included, and
-# refuses G(12, 25) (300,849) and beyond, G(18, 36) (8,298,714) too.
-MAX_LR_PAIRS = 250_000
 
 
 class MdPair(namedtuple("MdPair", "ctx a b")):
@@ -154,13 +149,11 @@ class VerificationReport(namedtuple(
         return out
 
 
-def _check_scan_size(ctx: GrassmannContext, hi: int, lr: bool = False) -> None:
-    """Raise ``ValueError`` if ``ctx`` has too many pairs up to ``hi``.
+def _check_scan_size(ctx: GrassmannContext, hi: int) -> None:
+    """Raise ``ValueError`` if ``ctx`` has more than ``MAX_SCAN_PAIRS`` pairs up to ``hi``.
 
-    A scan may test ``MAX_SCAN_PAIRS`` pairs, and one that asks the LR
-    rule of each pair (``lr``) ``MAX_LR_PAIRS``.  ``_scan`` and
-    ``_lr_disagreements`` call it before they scan, and
-    ``_checked_contexts`` on every context of a sweep.
+    ``_scan`` calls it before it scans, and ``_checked_contexts`` on
+    every context of a sweep.
 
     A request far over the limit is refused in O(1), before any list of
     length ``hi`` is built, by a lower bound: with t the smaller of
@@ -170,24 +163,23 @@ def _check_scan_size(ctx: GrassmannContext, hi: int, lr: bool = False) -> None:
     any two of them pair within ``hi``.  Otherwise the exact count is
     taken from the layer sizes, without building a layer.
     """
-    limit = MAX_LR_PAIRS if lr else MAX_SCAN_PAIRS
     short, long = sorted((ctx.rows, ctx.cols))
     t = min(hi // 2, long)
     few = t + 1 if short == 1 else (t + 2) ** 2 // 4
     count = few * (few + 1) // 2
-    if count > limit:
+    if count > MAX_SCAN_PAIRS:
         count = f"at least {count}"
     else:
         count = _pair_count(ctx, hi)
-        if count <= limit:
+        if count <= MAX_SCAN_PAIRS:
             return
     raise ValueError(
         f"{ctx} has {count} basis pairs with codim sum <= {hi}, "
-        f"over the scan limit of {limit}" + (" for an LR cross-check" if lr else "")
+        f"over the scan limit of {MAX_SCAN_PAIRS}"
     )
 
 
-def _checked_contexts(contexts, lr: bool = False) -> list[GrassmannContext]:
+def _checked_contexts(contexts) -> list[GrassmannContext]:
     """``contexts`` as a list, each first passed through ``_check_scan_size`` at n+1.
 
     The pre-check of a sweep and of a classification table: an
@@ -196,7 +188,7 @@ def _checked_contexts(contexts, lr: bool = False) -> list[GrassmannContext]:
     """
     checked = []
     for ctx in contexts:
-        _check_scan_size(ctx, ctx.n + 1, lr)
+        _check_scan_size(ctx, ctx.n + 1)
         checked.append(ctx)
     return checked
 
@@ -232,9 +224,8 @@ def _lr_disagreements(ctx: GrassmannContext, hi: int):
     cross-check of this module: for every pair up to ``hi`` it looks
     for one LR tableau inside the box (``chow._lr_vanishes``) rather
     than multiplying, and nothing is yielded when the two routes agree.
-    It refuses more than ``MAX_LR_PAIRS`` pairs before the scan starts.
+    ``_scan`` refuses an oversized request before it starts.
     """
-    _check_scan_size(ctx, hi, lr=True)
     for a, b, fast in _scan(ctx, hi):
         if _lr_vanishes(ctx, a, b) != fast:
             yield a, b, fast

@@ -2,6 +2,7 @@
 
 import random
 from itertools import combinations_with_replacement
+from operator import add
 
 import pytest
 
@@ -23,7 +24,7 @@ from schubcalc import (
     special_symbols,
     symbol_to_dim_partition,
 )
-from schubcalc.chow import _lr_vanishes
+from schubcalc.chow import _lr_vanishes, _lr_walk
 
 C13 = GrassmannContext(1, 3)
 C26 = GrassmannContext(2, 6)
@@ -279,11 +280,37 @@ class TestLrVanishing:
 
     def test_existence_stops_at_the_first_strip(self):
         # the one letter of b has 2**30 horizontal strips on the staircase a;
-        # the first one, all 30 cells in the top row, already fits the box
+        # the first one, all 30 cells in the top row, already fits the box.
+        # The walk itself is asked: _lr_vanishes answers this pair (rows
+        # added, a_1 + b_1 = 60 = cols) without a walk.
         ctx = GrassmannContext(30, 90)
         a = tuple(range(30, -1, -1))
         b = (30,) + (0,) * 30
+        chain = next(_lr_walk(a, b, (ctx.cols,) * ctx.rows))
+        assert chain == (a, (60,) + a[1:])
         assert not _lr_vanishes(ctx, a, b)
+
+    def test_shortcut_witnesses_are_lr_tableaux_through_n8(self):
+        # _lr_vanishes answers "nonzero" without a walk when a_1 + b_1 <= cols
+        # (rows added) or l(a) + l(b) <= rows (rows merged); each witness nu
+        # lies in the box and carries exactly one LR tableau.
+        admitted = 0
+        for n in range(1, 9):
+            for k in range(n):
+                ctx = GrassmannContext(k, n)
+                for a, b in combinations_with_replacement(box_partitions(ctx), 2):
+                    witnesses = []
+                    if a[0] + b[0] <= ctx.cols:
+                        witnesses.append(tuple(map(add, a, b)))
+                    if a.count(0) + b.count(0) >= ctx.rows:
+                        merged = sorted(a + b, reverse=True)
+                        assert not any(merged[ctx.rows:])
+                        witnesses.append(tuple(merged[:ctx.rows]))
+                    for nu in witnesses:
+                        assert nu[0] <= ctx.cols and len(nu) == ctx.rows, (ctx, a, b, nu)
+                        assert lr_coefficient(a, b, nu) == 1, (ctx, a, b, nu)
+                    admitted += bool(witnesses)
+        assert admitted > 5000
 
     def test_tableau_route_never_calls_the_containment_predicate(self, monkeypatch):
         import schubcalc.chow as chow

@@ -202,6 +202,8 @@ class TestOversizedRequests:
         "classify --n 37",
         "render --k 0 --n 1000001 --partition 1",
         "render --k 999999999 --n 1000000000 --partition 1",
+        "convert --k 9999999 --n 10000000 --partition 1",
+        "product --k 9999999 --n 10000000 --a 1 --b 1",
     ])
     def test_exits_two_at_once(self, capsys, monkeypatch, argv):
         import schubcalc.morphisms as morphisms
@@ -228,7 +230,16 @@ class TestOversizedRequests:
         if argv == "classify --n 37":
             assert err.startswith("error: G(12,37) has 10084016 basis pairs")
         if argv.startswith("render"):
-            assert "over the render limit of 1000000" in err
+            assert "box cells, over the size limit of 1000000" in err
+        if argv.startswith(("convert", "product")):
+            assert err == (
+                "error: G(9999999,10000000) has 10000000 partition parts, "
+                "over the size limit of 1000000\n"
+            )
+
+    def test_product_within_the_limit_is_answered(self, capsys):
+        argv = "product --k 99999 --n 100000 --a 1 --b 1".split()
+        assert run(capsys, *argv) == (0, "σ(1,1)\n", "")
 
 
 class TestModuleEntryPoint:
@@ -333,10 +344,8 @@ class TestVerifyCommand:
         assert made[-1] == (12, 37)  # nothing of the range beyond it is built
 
     @pytest.mark.parametrize("argv", [
-        "verify thm-md --k 15 --n 30",
-        "verify thm-md --k 18 --n 36",
-        "mdpairs --k 15 --n 30 --cross-validate",
-        "mdpairs --k 18 --n 36 --cross-validate",
+        "verify thm-md --k 18 --n 37",
+        "mdpairs --k 18 --n 37 --cross-validate",
     ])
     def test_oversized_lr_cross_check_exits_two_before_building_a_layer(
         self, capsys, monkeypatch, argv
@@ -350,24 +359,24 @@ class TestVerifyCommand:
         code, out, err = run(capsys, *argv.split())
         assert code == 2
         assert out == ""
-        assert err.startswith("error: G(") and "LR cross-check" in err
-        assert str(search.MAX_LR_PAIRS) in err
+        assert err.startswith("error: G(18,37) has 10948109 basis pairs")
+        assert err.endswith(f"over the scan limit of {search.MAX_SCAN_PAIRS}\n")
 
-    def test_thm_md_sweep_stops_at_the_lr_limit(self, capsys, monkeypatch):
+    def test_thm_md_sweep_stops_at_the_scan_limit(self, capsys, monkeypatch):
         import schubcalc.search as search
 
         def passing(ctx):
             return VerificationReport(claim="thm-md", k=ctx.k, n=ctx.n, status="pass")
 
         monkeypatch.setattr(cli, "verify_thm_md", passing)
-        code, out, _ = run(capsys, "verify", "thm-md", "--max-n", "24", "--format", "json")
+        code, out, _ = run(capsys, "verify", "thm-md", "--max-n", "36", "--format", "json")
         assert code == 0
-        assert json.loads(out)["contexts"][-1]["n"] == 24
-        code, out, err = run(capsys, "verify", "thm-md", "--max-n", "25")
+        assert json.loads(out)["contexts"][-1]["n"] == 36
+        code, out, err = run(capsys, "verify", "thm-md", "--max-n", "37")
         assert code == 2
         assert out == ""
-        assert err.startswith("error: G(8,25) has 266998 basis pairs")
-        assert str(search.MAX_LR_PAIRS) in err
+        assert err.startswith("error: G(12,37) has 10084016 basis pairs")
+        assert str(search.MAX_SCAN_PAIRS) in err
 
     def test_mixed_flags_rejected(self, capsys):
         code, _, err = run(capsys, "verify", "thm-md", "--k", "2")
@@ -425,6 +434,28 @@ class TestClassifyCommand:
         code, _, err = run(capsys, "classify", "--l", "1", "--n", "6")
         assert code == 2
         assert err.startswith("error:")
+
+
+class TestJsonTwin:
+    """The JSON twin is built only when it is printed or written."""
+
+    @pytest.mark.parametrize("argv", [
+        "product --k 1 --n 3 --a 1 --b 1",
+        "convert --k 2 --n 6 --partition 3",
+        "egd --k 2 --n 6",
+        "verify thm-md --max-n 6",
+        "classify --n 5",
+    ])
+    def test_text_without_output_builds_no_twin(self, capsys, monkeypatch, argv):
+        expected = run(capsys, *argv.split())
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("json.dumps called for a text-only result")
+
+        monkeypatch.setattr(cli.json, "dumps", refuse)
+        assert run(capsys, *argv.split()) == expected
+        with pytest.raises(AssertionError, match="json.dumps called"):
+            cli.main([*argv.split(), "--format", "json"])
 
 
 class TestErrors:

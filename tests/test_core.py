@@ -323,7 +323,7 @@ class TestRender:
             render_diagram(C26, (3, 3, 3), overlay=(5, 0, 0))
 
     def test_box_over_a_million_cells_refused(self):
-        with pytest.raises(ValueError, match="over the render limit of 1000000"):
+        with pytest.raises(ValueError, match="over the size limit of 1000000"):
             render_diagram(GrassmannContext(0, 1_000_001), (1,))
         line = render_diagram(GrassmannContext(0, 1_000_000), (1,))
         assert line.startswith("# . .") and len(line) == 2 * 1_000_000

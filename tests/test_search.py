@@ -209,6 +209,25 @@ class TestVerifyThmMd:
         with pytest.raises(ValueError):
             verify_thm_md(GrassmannContext(3, 4))
 
+    @pytest.mark.parametrize("k,n,walked", [(2, 6, 6), (3, 8, 10), (9, 20, 55)])
+    def test_walks_only_the_hook_pairs(self, monkeypatch, k, n, walked):
+        import schubcalc.chow as chow
+
+        pairs = []
+        real_walk = chow._lr_walk
+
+        def counting_walk(lam, mu, outer):
+            pairs.append((lam, mu))
+            return real_walk(lam, mu, outer)
+
+        monkeypatch.setattr(chow, "_lr_walk", counting_walk)
+        assert verify_thm_md(GrassmannContext(k, n)).passed
+        assert len(pairs) == walked
+        for lam, mu in pairs:  # two hooks of total weight n+1
+            assert sum(lam) + sum(mu) == n + 1
+            for p in (lam, mu):
+                assert sum(p) == p[0] + len(p) - p.count(0) - 1, p
+
     def test_lr_route_fault_is_reported_as_mismatches_only(self, monkeypatch):
         import schubcalc.search as search
 
@@ -468,27 +487,42 @@ class TestScanLimit:
 
 
 class TestLrLimit:
-    """The LR cross-check (thm-md, a cross-validated report) has its own, smaller limit."""
+    """The LR cross-check (thm-md, a cross-validated report) has no limit but the scan's."""
 
     def test_every_interior_context_up_to_n24_is_accepted(self):
         import schubcalc.search as search
 
         for n in range(3, 25):
             for k in range(1, n - 1):
-                search._check_scan_size(GrassmannContext(k, n), n + 1, lr=True)
-        assert search._pair_count(GrassmannContext(12, 24), 25) == 215_387 <= search.MAX_LR_PAIRS
+                search._check_scan_size(GrassmannContext(k, n), n + 1)
+        assert search._pair_count(GrassmannContext(12, 24), 25) == 215_387
 
     @pytest.mark.parametrize("k,n", [(12, 25), (15, 30), (18, 36)])
-    def test_larger_contexts_are_refused_before_a_layer_is_built(self, monkeypatch, k, n):
+    def test_contexts_within_the_scan_limit_are_accepted(self, monkeypatch, k, n):
+        import schubcalc.search as search
+
+        class Scanning(Exception):
+            pass
+
+        def scanning(ctx, w):
+            raise Scanning  # past every size check: the scan builds its first layer
+
+        monkeypatch.setattr(search, "box_layer", scanning)
+        ctx = GrassmannContext(k, n)
+        with pytest.raises(Scanning):
+            verify_thm_md(ctx)
+        with pytest.raises(Scanning):
+            search_report(ctx, cross_validate=True)
+
+    def test_larger_context_is_refused_before_a_layer_is_built(self, monkeypatch):
         import schubcalc.search as search
 
         def refuse(ctx, w):
             raise AssertionError(f"box_layer({ctx}, {w}) built for an oversized LR check")
 
         monkeypatch.setattr(search, "box_layer", refuse)
-        ctx = GrassmannContext(k, n)
-        search._check_scan_size(ctx, n + 1)  # within the plain scan limit
-        limit = f"over the scan limit of {search.MAX_LR_PAIRS} for an LR cross-check"
+        ctx = GrassmannContext(18, 37)
+        limit = rf"G\(18,37\) has 10948109 basis pairs .* scan limit of {search.MAX_SCAN_PAIRS}$"
         with pytest.raises(ValueError, match=limit):
             verify_thm_md(ctx)
         with pytest.raises(ValueError, match=limit):
