@@ -240,24 +240,22 @@ def box_layer(ctx: GrassmannContext, w: int) -> tuple[Partition, ...]:
     Empty unless ``0 <= w <= dim``; a ``w`` that is not an integer is a
     ``ValueError``.  Parts are chosen row by row, each from the smallest
     value the remaining rows can still make up to the largest the row
-    above allows, so the layer comes out sorted.  Built on each call,
-    not memoized: the searches build the low layers they need once per
-    scan, never the whole box.
+    above allows, zeros once the weight is used up: depth first from a
+    stack, not by recursion, largest pushed first, so the layer comes out
+    sorted.  Not memoized: the searches build the layers they need once.
     """
     (w,) = _integers("weight", (w,))
-    rows = ctx.rows
     if not 0 <= w <= ctx.dim:
         return ()
-    out: list[Partition] = []
-
-    def rec(prefix: tuple[int, ...], row: int, cap: int, left: int) -> None:
-        if row == rows - 1:
-            out.append(prefix + (left,))
+    rows, out, stack = ctx.rows, [], [((), ctx.cols, w)]  # (parts, cap, weight left)
+    while stack:
+        parts, cap, left = stack.pop()
+        r = rows - len(parts)
+        if r == 1 or not left:
+            out.append(parts + (left,) + (0,) * (r - 1))
         else:
-            for v in range(-(-left // (rows - row)), min(cap, left) + 1):
-                rec(prefix + (v,), row + 1, v, left - v)
-
-    rec((), 0, ctx.cols, w)
+            stack += [(parts + (v,), v, left - v)
+                      for v in range(min(cap, left), (left - 1) // r, -1)]
     return tuple(out)
 
 

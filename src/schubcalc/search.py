@@ -26,14 +26,10 @@ pair {(1, ..., 1), (n-k, 0, ..., 0)} vanishes at n+1 in every G(k, n),
 so the md-pairs always lie in that shell; the bound does not assume
 egd = n, and a pair vanishing lower would be reported.
 ``_shell_zeros`` is the one memoized search result, a few pairs per
-context.  thm-md and ``search_report(cross_validate=True)`` also run
-the one Littlewood-Richardson cross-check, ``_lr_disagreements``, over
-the shell: it asks ``chow._lr_vanishes`` whether each pair's
-box-truncated product is zero and yields the pairs where that answer
-and the vanishing test disagree.  It answers a pair from one of two
-tableaux known to fit, the factors' rows added or merged, and walks
-only a pair that fits neither: in the shell, two hooks of weight n+1
-(6 in G(2, 6), 78 of 215,387 in G(12, 24)).  The scan limit bounds it.
+context.  thm-md and ``search_report(cross_validate=True)`` take the
+shell zeros off one scan of their own, ``_lr_cross_check``, which also
+asks every pair the Littlewood-Richardson route, ``chow._lr_vanishes``:
+two tableaux known to fit answer all but the hook pairs of weight n+1.
 
 Every pair scan runs through one kernel, ``_scan``, which builds only
 the weight layers (:func:`schubcalc.core.box_layer`) up to its
@@ -216,19 +212,25 @@ def _scan(ctx: GrassmannContext, hi: int):
                     yield a, b, not_contained(b, dual_a)
 
 
-def _lr_disagreements(ctx: GrassmannContext, hi: int):
-    """Yield ``(a, b, fast)`` for every scanned pair whose LR product disagrees.
+def _lr_cross_check(ctx: GrassmannContext, zeros: list):
+    """Yield ``(a, b, fast)``, in scan order, for each shell pair whose LR verdict disagrees.
 
-    ``fast`` is the Bruhat verdict of ``_scan``; the pair is yielded when
-    the Littlewood-Richardson verdict differs from it.  The one LR
-    cross-check of this module: for every pair up to ``hi`` it looks
-    for one LR tableau inside the box (``chow._lr_vanishes``) rather
-    than multiplying, and nothing is yielded when the two routes agree.
-    ``_scan`` refuses an oversized request before it starts.
+    One ``_scan`` up to n+1 asks every pair both routes: ``fast`` is the
+    Bruhat verdict, the other is ``chow._lr_vanishes``.  Each Bruhat zero
+    is appended to ``zeros`` as ``(a, b)``, so a caller that runs the
+    generator out has the shell zeros too, for ``_sorted_zeros``.
     """
-    for a, b, fast in _scan(ctx, hi):
+    for a, b, fast in _scan(ctx, ctx.n + 1):
+        if fast:
+            zeros.append((a, b))
         if _lr_vanishes(ctx, a, b) != fast:
             yield a, b, fast
+
+
+def _sorted_zeros(pairs) -> list[ZeroPair]:
+    """Vanishing pairs (a, b) as (a, b, codim_sum) with a <= b, sorted by (codim_sum, a, b)."""
+    found = [(a, b, sum(a) + sum(b)) if a <= b else (b, a, sum(a) + sum(b)) for a, b in pairs]
+    return sorted(found, key=lambda t: (t[2], t[0], t[1]))
 
 
 def enumerate_zero_pairs(ctx: GrassmannContext, max_codim_sum: int) -> list[ZeroPair]:
@@ -240,13 +242,7 @@ def enumerate_zero_pairs(ctx: GrassmannContext, max_codim_sum: int) -> list[Zero
     (max_codim_sum,) = _integers("max_codim_sum", (max_codim_sum,))
     if not 0 <= max_codim_sum <= 2 * ctx.dim:
         raise ValueError(f"max_codim_sum {max_codim_sum} out of range for {ctx}")
-    found: list[ZeroPair] = []
-    for a, b, vanishes in _scan(ctx, max_codim_sum):
-        if vanishes:
-            s = sum(a) + sum(b)
-            found.append((a, b, s) if a <= b else (b, a, s))
-    found.sort(key=lambda t: (t[2], t[0], t[1]))
-    return found
+    return _sorted_zeros((a, b) for a, b, vanishes in _scan(ctx, max_codim_sum) if vanishes)
 
 
 @lru_cache(maxsize=None)
@@ -263,7 +259,11 @@ def md_pairs(ctx: GrassmannContext) -> tuple[MdPair, ...]:
     {[X_H], [X_p]} vanishes at n+1; if it holds none, the vanishing
     predicate is broken and this raises ``RuntimeError``.
     """
-    zeros = _shell_zeros(ctx)
+    return _md_pairs_of(ctx, _shell_zeros(ctx))
+
+
+def _md_pairs_of(ctx: GrassmannContext, zeros) -> tuple[MdPair, ...]:
+    """The md-pairs read off ``ctx``'s shell zeros, sorted as ``_sorted_zeros`` leaves them."""
     if not zeros:
         raise RuntimeError(f"no vanishing pair with codim sum <= {ctx.n + 1} in {ctx}")
     return tuple(MdPair(ctx, a, b) for a, b, s in zeros if s == zeros[0][2])
@@ -303,27 +303,29 @@ def search_report(ctx: GrassmannContext, cross_validate: bool = False) -> Search
     """Full md-pair search: egd, zero pairs at the critical codimension, timing.
 
     Nothing below egd + 1 vanishes, so the zero pairs are the md-pairs.
-    ``cross_validate`` first asks the LR rule of every pair of the shell
-    (``_lr_disagreements``) and raises ``RuntimeError`` on the first
-    pair where it disagrees with the Bruhat test.
+    ``cross_validate`` reads them off the zeros of ``_lr_cross_check``,
+    which asks the LR rule of every pair of the shell too, and raises
+    ``RuntimeError`` at the first pair where it disagrees with the Bruhat test.
     """
     start = time.perf_counter()
     if cross_validate:
-        for a, b, fast in _lr_disagreements(ctx, ctx.n + 1):
+        zeros = []
+        for a, b, fast in _lr_cross_check(ctx, zeros):
             raise RuntimeError(
                 f"vanishing criterion disagrees with LR product on "
                 f"{a} x {b} in {ctx}: fast={fast}, lr={not fast}"
             )
-    pairs = md_pairs(ctx)
-    egd = compute_egd(ctx)
-    limit = egd + 1
+        pairs = _md_pairs_of(ctx, _sorted_zeros(zeros))
+    else:
+        pairs = md_pairs(ctx)
+    limit = sum(pairs[0].codims)
     scanned = _pair_count(ctx, limit)
     elapsed_ms = int(round((time.perf_counter() - start) * 1000))
     return SearchReport(
         ctx=ctx,
         scanned_pair_count=scanned,
         zero_pairs=tuple((p.a, p.b, limit) for p in pairs),
-        computed_egd=egd,
+        computed_egd=limit - 1,
         md_pairs=pairs,
         elapsed_ms=elapsed_ms,
     )
@@ -371,23 +373,23 @@ def _report(
 def verify_thm_md(ctx: GrassmannContext) -> VerificationReport:
     """Check: the only vanishing basis pair with codim-sum <= n+1 is {[X_H], [X_p]}.
 
-    Reads the zero pairs off the shell zeros (the Bruhat test) and
-    checks every pair of the shell once more through the LR rule
-    (``_lr_disagreements``), which looks for one tableau inside the box
-    rather than multiplying.  Each pair where the two routes disagree
-    is a ``fast-vs-lr-mismatch``; each shell zero other than Theorem
-    md's pair is an ``unexpected-zero-pair``, and that pair's absence a
-    ``missing-expected-pair``.  When the routes agree on every pair
-    their zero sets are equal, so a pass means both find only that pair.
+    One scan of the shell, ``_lr_cross_check``, asks every pair the
+    Bruhat test and the LR rule, which looks for one tableau inside the
+    box rather than multiplying.  Each pair where the two disagree is a
+    ``fast-vs-lr-mismatch``, in scan order; of the same scan's Bruhat
+    zeros, sorted, each one other than Theorem md's pair is an
+    ``unexpected-zero-pair``, and that pair's absence a
+    ``missing-expected-pair``.  When the routes agree on every pair their
+    zero sets are equal, so a pass means both find only that pair.
     """
     _require_interior(ctx)
-    limit = ctx.n + 1
     expected = _md_pair(ctx)
+    found = []
     counterexamples = [
         {"kind": "fast-vs-lr-mismatch", "a": list(a), "b": list(b)}
-        for a, b, _ in _lr_disagreements(ctx, limit)
+        for a, b, _ in _lr_cross_check(ctx, found)
     ]
-    zeros = [(a, b) for a, b, _ in _shell_zeros(ctx)]
+    zeros = [(a, b) for a, b, _ in _sorted_zeros(found)]
     counterexamples += [
         {"kind": "unexpected-zero-pair", "a": list(a), "b": list(b)}
         for a, b in zeros
@@ -397,7 +399,7 @@ def verify_thm_md(ctx: GrassmannContext) -> VerificationReport:
         counterexamples.append(
             {"kind": "missing-expected-pair", "a": list(expected[0]), "b": list(expected[1])}
         )
-    return _report("thm-md", ctx, counterexamples, _pair_count(ctx, limit))
+    return _report("thm-md", ctx, counterexamples, _pair_count(ctx, ctx.n + 1))
 
 
 def verify_prop_comp(ctx: GrassmannContext) -> VerificationReport:

@@ -286,6 +286,11 @@ class TestBoxLayer:
         assert box_layer(C26, -1) == ()
         assert box_layer(C26, C26.dim + 1) == ()
 
+    def test_tall_box_is_built_without_recursion(self):
+        ctx = GrassmannContext(2999, 3000)  # 3000 rows, one column
+        for w in (0, 1, 1500, 3000):
+            assert box_layer(ctx, w) == ((1,) * w + (0,) * (3000 - w),)
+
     def test_layer_sizes_count_the_layers(self):
         from schubcalc.core import _layer_sizes
 

@@ -448,9 +448,78 @@ class TestOneShellScan:
         assert search_report(ctx).computed_egd == 5
         classify_table(5)  # asks the domains G(1,5), G(2,5) and G(3,5)
         assert scans == {GrassmannContext(l, 5): 1 for l in (1, 2, 3)}
-        # thm-md adds only its LR cross-check scan: the shell zeros are shared
+        # thm-md adds one scan of its own, which asks both routes of every pair
         assert verify_thm_md(ctx).passed
         assert scans == {GrassmannContext(1, 5): 1, ctx: 2, GrassmannContext(3, 5): 1}
+
+
+class TestOneCrossCheckScan:
+    """thm-md and the cross-validated report read both routes off one scan of the shell."""
+
+    @staticmethod
+    def count_calls(monkeypatch, search):
+        """Wrap ``search._scan`` and ``search._lr_vanishes``; count scans per context and LR calls."""
+        scans, lr_calls = Counter(), [0]
+        real_scan, real_lr_vanishes = search._scan, search._lr_vanishes
+
+        def counting_scan(ctx, hi):
+            scans[ctx] += 1
+            return real_scan(ctx, hi)
+
+        def counting_lr_vanishes(*args):
+            lr_calls[0] += 1
+            return real_lr_vanishes(*args)
+
+        monkeypatch.setattr(search, "_scan", counting_scan)
+        monkeypatch.setattr(search, "_lr_vanishes", counting_lr_vanishes)
+        return scans, lr_calls
+
+    def test_thm_md_scans_once_per_context(self, monkeypatch):
+        import schubcalc.search as search
+
+        scans, lr_calls = self.count_calls(monkeypatch, search)
+        for warm in (False, True):
+            search._shell_zeros.cache_clear()
+            for n in range(3, 9):
+                for k in range(1, n - 1):
+                    ctx = GrassmannContext(k, n)
+                    if warm:
+                        search._shell_zeros(ctx)
+                    scans.clear()
+                    lr_calls[0] = 0
+                    report = verify_thm_md(ctx)
+                    assert report.passed, ctx
+                    assert scans == {ctx: 1}, ctx
+                    assert lr_calls[0] == report.hypothesis_count == search._pair_count(ctx, n + 1)
+
+    def test_cross_validated_report_scans_once_per_context(self, monkeypatch):
+        import schubcalc.search as search
+
+        scans, lr_calls = self.count_calls(monkeypatch, search)
+        for n in range(1, 9):
+            for k in range(n):
+                ctx = GrassmannContext(k, n)
+                search._shell_zeros.cache_clear()
+                scans.clear()
+                lr_calls[0] = 0
+                report = search_report(ctx, cross_validate=True)
+                assert scans == {ctx: 1}, ctx
+                assert lr_calls[0] == search._pair_count(ctx, n + 1), ctx
+                assert report.md_pairs == md_pairs(ctx), ctx
+
+    def test_report_raises_at_the_first_disagreement(self, monkeypatch):
+        import schubcalc.search as search
+
+        asked = []
+
+        def lr_says_zero_from_the_third_pair(ctx, a, b):
+            asked.append((a, b))
+            return len(asked) >= 3
+
+        monkeypatch.setattr(search, "_lr_vanishes", lr_says_zero_from_the_third_pair)
+        with pytest.raises(RuntimeError, match=r"\(0, 0, 0\) x \(1, 1, 0\) in G\(2,6\): fast=False"):
+            search_report(C26, cross_validate=True)
+        assert len(asked) == 3  # the scan stops at the first disagreement
 
 
 class TestScanLimit:
