@@ -13,13 +13,13 @@ strictly increase top to bottom) and whose right-to-left, top-to-bottom
 reading word is a lattice word.  The sum is truncated to the box, which
 is exactly the quotient presentation of the Chow ring.
 
-One walk, ``_lr_walk``, enumerates these tableaux: it adds the content
-to lam one letter at a time, each letter's cells a horizontal strip
-made lazily, row by row, with the lattice-word condition kept as one
-running count while the strip is placed.  Basis products count the
-shapes it ends in, ``lr_coefficient`` counts its tableaux inside a
-fixed nu, and ``lr_fillings`` reads their rows off the same chains of
-shapes.  ``_lr_vanishes`` asks only whether the box-truncated product
+One walk, ``_lr_walk``, enumerates these tableaux: one depth-first loop
+over an explicit stack adds the content to lam one letter at a time,
+each letter's cells a horizontal strip placed row by row, with the
+lattice-word condition kept as one running count.  Basis products
+count the shapes it ends in, ``lr_coefficient`` counts its tableaux
+inside a fixed nu, and ``lr_fillings`` reads their rows off the same
+chains of shapes.  ``_lr_vanishes`` asks only whether the box-truncated product
 is zero, which one tableau inside the box answers; two are known with
 no walk (the factors' rows added or merged), so it walks, up to the
 first chain, only a pair that fits neither.  The claims' LR cross-check
@@ -164,19 +164,23 @@ def _lr_walk(lam, mu, outer):
 
     Each tableau is yielded as its chain of shapes ``(lam, ..., nu)``:
     the cells holding letter i are the horizontal strip between the
-    i-th and (i+1)-th shapes.  Letters are added one strip at a time,
-    and each strip is made lazily, row by row: upper rows first, each
-    row taking its largest share first, so a caller that stops at the
-    first chain builds no other strip.  Row r of a strip grows to at
-    most ``outer[r]`` and, so that no two new cells share a column, to
-    at most the old length of row r-1; ``room`` prunes a share that
-    leaves more cells than the rows below can take.  The lattice-word
-    condition on the reading word (right to left, top to bottom) is one
-    running count, ``lattice``: the (i-1)'s in the rows above, less the
-    i's placed so far, which caps each row's share.  ``outer`` is a weakly
-    decreasing tuple whose length caps the number of rows; ``lam`` may
-    carry trailing zeros up to ``len(outer)``, and trailing zero letters
-    of ``mu`` are ignored.
+    i-th and (i+1)-th shapes.  One depth-first loop over an explicit
+    stack adds the letters in turn and places each strip row by row,
+    upper rows first.  A stack entry is one partial strip: its chain,
+    letter, row, cells left, new row lengths, lattice count and
+    ``room``.  Shares are pushed smallest first, so each row's largest
+    share and each letter's first strip are taken first, and a caller
+    that stops at the first chain builds no other strip.  The depth of
+    a walk is bounded by memory, not by the recursion limit.
+    Row r of a strip grows to at most ``outer[r]`` and, so that no two
+    new cells share a column, to at most the old length of row r-1;
+    ``room`` prunes a share that leaves more cells than the rows below
+    can take.  The lattice-word condition on the reading word (right to
+    left, top to bottom) is one running count, ``lattice``: the (i-1)'s
+    in the rows above, less the i's placed so far, which caps each
+    row's share.  ``outer`` is a weakly decreasing tuple whose length
+    caps the number of rows; ``lam`` may carry trailing zeros up to
+    ``len(outer)``, and trailing zero letters of ``mu`` are ignored.
     This is the strip-by-strip scheme of Buch's lrcalc for the rule of
     Fulton, *Young Tableaux*, section 5.
     """
@@ -187,32 +191,25 @@ def _lr_walk(lam, mu, outer):
     if any(map(gt, start, outer)):  # its own guard, not the Bruhat route's predicate
         return
     last = len(mu) - mu.count(0)
-
-    def walk(chain, i):
+    mu = mu[:last] + (0,)  # letter ``last`` is the end of the chain
+    stack = [((start,), 0, 0, mu[0], (), mu[0], None)]  # the first letter has no lattice bound
+    while stack:
+        chain, i, r, left, new, lattice, room = stack.pop()
+        shape = chain[-1]
         if i == last:
             yield chain
-            return
-        shape = chain[-1]
-        prev = chain[-2] if i else shape  # the first letter has no lattice count
-        room = [0] * (rows + 1)  # room[r]: cells the strip can still take in rows >= r
-        for r in range(rows - 1, -1, -1):
-            room[r] = room[r + 1] + min(outer[r], shape[r - 1] if r else outer[0]) - shape[r]
-
-        # Rows recurse in their own generator, suspended while later letters are
-        # walked, so the stack holds at most letters + rows frames.
-        def strips(r, left, prefix, lattice):
-            if not left:
-                yield prefix + shape[r:]
-                return
-            for x in range(min(left, lattice, room[r] - room[r + 1]),
-                           max(0, left - room[r + 1]) - 1, -1):
-                yield from strips(r + 1, left - x, prefix + (shape[r] + x,),
-                                  lattice - x + shape[r] - prev[r])
-
-        for nxt in strips(0, mu[i], (), 0 if i else mu[i]):
-            yield from walk(chain + (nxt,), i + 1)
-
-    yield from walk((start,), 0)
+        elif not left:  # the strip is placed: start the next letter
+            stack.append((chain + (new + shape[r:],), i + 1, 0, mu[i + 1], (), 0, None))
+        else:
+            if not r:  # room[s]: cells the strip can still take in rows >= s
+                room = [0] * (rows + 1)
+                for s in range(rows - 1, -1, -1):
+                    room[s] = room[s + 1] + min(outer[s], shape[s - 1] if s else outer[0]) - shape[s]
+            prev = chain[-2] if i else shape
+            stack += [(chain, i, r + 1, left - x, new + (shape[r] + x,),
+                       lattice - x + shape[r] - prev[r], room)
+                      for x in range(max(0, left - room[r + 1]),
+                                     min(left, lattice, room[r] - room[r + 1]) + 1)]
 
 
 def lr_fillings(lam, mu, nu):

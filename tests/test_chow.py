@@ -290,6 +290,24 @@ class TestLrVanishing:
         assert chain == (a, (60,) + a[1:])
         assert not _lr_vanishes(ctx, a, b)
 
+    def test_existence_reaches_a_thousand_letter_column(self):
+        # the content 1^1000 puts each letter one row below the last, so the
+        # first chain is 1000 strips deep: far past the recursion limit, which
+        # a walk on its own stack does not meet
+        col = (1,) * 1000
+        chain = next(_lr_walk((), col, col))
+        assert chain == tuple(col[:i] + (0,) * (1000 - i) for i in range(1001))
+
+    def test_deep_hook_pair_is_walked(self):
+        # this hook pair of weight n+2 in G(1199, 1201) fits neither shortcut,
+        # so the walk places 600 letters down 1200 rows to find it nonzero
+        ctx = GrassmannContext(1199, 1201)
+        a = (2,) + (1,) * 600 + (0,) * 599
+        b = (2,) + (1,) * 599 + (0,) * 600
+        assert a[0] + b[0] > ctx.cols and a.count(0) + b.count(0) < ctx.rows
+        assert _lr_vanishes(ctx, a, b) is False
+        assert pair_vanishes(ctx, a, b) is False
+
     def test_shortcut_witnesses_are_lr_tableaux_through_n8(self):
         # _lr_vanishes answers "nonzero" without a walk when a_1 + b_1 <= cols
         # (rows added) or l(a) + l(b) <= rows (rows merged); each witness nu

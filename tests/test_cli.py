@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import schubcalc.cli as cli
+from schubcalc.core import GrassmannContext, dim_partition_to_symbol, dual_partition
 from schubcalc.search import VerificationReport
 
 
@@ -115,6 +116,24 @@ class TestVanishes:
         assert code == 0
         data = json.loads(out)
         assert data["lr_product_zero"] is True and data["agree"] is True
+
+    def test_cross_validate_deep_hook_pair(self, capsys):
+        # the codim partitions (2, 1^600) and (2, 1^599) of G(1199, 1201) as
+        # symbols: the LR check walks 600 letters deep and must not fail
+        ctx = GrassmannContext(1199, 1201)
+        i, j = (
+            ",".join(map(str, dim_partition_to_symbol(ctx, dual_partition(ctx, p))))
+            for p in ((2,) + (1,) * 600 + (0,) * 599, (2,) + (1,) * 599 + (0,) * 600)
+        )
+        code, out, _ = run(
+            capsys,
+            "vanishes", "--k", "1199", "--n", "1201", "--i", i, "--j", j,
+            "--cross-validate", "--format", "json",
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert data["vanishes"] is False and data["lr_product_zero"] is False
+        assert data["agree"] is True
 
     def test_cross_validation_disagreement_exits_one(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_lr_vanishes", lambda ctx, a, b: False)
