@@ -34,8 +34,9 @@ walk keeps its own containment guard and never calls the test's
 predicate ``core._not_contained``.
 
 Everything is pure and safe for concurrent use; the only shared state
-is an internal memo of basis products, which is deterministic and
-holds tuples, so no caller can change what later products see.
+is an internal memo of basis products on the classes' own k+1-part box
+partitions, each entry serving every G(k, n) with that k; it is
+deterministic and holds tuples, so no caller can change what it holds.
 """
 
 from __future__ import annotations
@@ -103,6 +104,8 @@ class CycleClass:
         return hash((self.ctx, frozenset(self.terms.items())))
 
     def __add__(self, other: "CycleClass") -> "CycleClass":
+        if not isinstance(other, CycleClass):
+            return NotImplemented
         if self.ctx != other.ctx:
             raise ValueError(f"context mismatch: {self.ctx} vs {other.ctx}")
         acc = dict(self.terms)
@@ -111,7 +114,7 @@ class CycleClass:
         return CycleClass(self.ctx, acc)
 
     def __mul__(self, other: "CycleClass") -> "CycleClass":
-        return multiply(self, other)
+        return multiply(self, other) if isinstance(other, CycleClass) else NotImplemented
 
     def __repr__(self) -> str:
         return f"CycleClass({self.ctx}: {format_class(self)})"
@@ -138,7 +141,7 @@ def format_class(x: CycleClass) -> str:
         return "0"
     bits = []
     for p in sorted(x.terms, reverse=True):
-        red = _reduced(p)
+        red = p[:len(p) - p.count(0)]
         name = "σ(" + (",".join(str(v) for v in red) if red else "0") + ")"
         c = x.terms[p]
         bits.append(name if c == 1 else f"{c}*{name}")
@@ -147,7 +150,7 @@ def format_class(x: CycleClass) -> str:
 
 def schubert_class(ctx: GrassmannContext, parts) -> CycleClass:
     """The basis class ``sigma_a`` (codimension convention), coefficient 1."""
-    return CycleClass(ctx, {check_partition(ctx, parts): 1})
+    return CycleClass(ctx, {tuple(parts): 1})
 
 
 def fundamental_class(ctx: GrassmannContext) -> CycleClass:
@@ -268,21 +271,18 @@ def _lr_vanishes(ctx: GrassmannContext, a: Partition, b: Partition) -> bool:
 
 
 @lru_cache(maxsize=131072)
-def _basis_product(
-    lam: tuple[int, ...], mu: tuple[int, ...], max_rows: int
-) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """LR expansion of sigma_lam*sigma_mu truncated to ``max_rows`` rows.
+def _basis_product(lam: Partition, mu: Partition) -> tuple[tuple[Partition, int], ...]:
+    """LR expansion of sigma_lam*sigma_mu, cut to ``len(lam)`` rows; mu has lam's length.
 
-    ``(nu, c)`` pairs, each nu with ``max_rows`` parts; columns are not
-    truncated here, so the memo is shared across all ambient boxes with
-    the same number of rows.  The value is a tuple, so callers cannot
-    change what later products see.
+    ``(nu, c)`` pairs, each nu as long as lam and mu; columns are not
+    cut here, so the memo is shared across all G(k, n) with the same k,
+    whose box partitions have k+1 parts.  The value is a tuple, so
+    callers cannot change what later products see.
     """
     if (lam, mu) > (mu, lam):
         lam, mu = mu, lam
-    width = (lam[0] if lam else 0) + (mu[0] if mu else 0)
-    counts: dict[tuple[int, ...], int] = {}
-    for chain in _lr_walk(lam, mu, (width,) * max_rows):
+    counts: dict[Partition, int] = {}
+    for chain in _lr_walk(lam, mu, (lam[0] + mu[0],) * len(lam)):
         nu = chain[-1]
         counts[nu] = counts.get(nu, 0) + 1
     return tuple(counts.items())
@@ -292,15 +292,14 @@ def multiply(x: CycleClass, y: CycleClass) -> CycleClass:
     """Product in the Chow ring: bilinear LR expansion, box-truncated."""
     if x.ctx != y.ctx:
         raise ValueError(f"context mismatch: {x.ctx} vs {y.ctx}")
-    ctx = x.ctx
-    rows, cols = ctx.rows, ctx.cols
+    cols = x.ctx.cols
     acc: dict[Partition, int] = {}
     for a, ca in x.terms.items():
         for b, cb in y.terms.items():
-            for nu, c in _basis_product(_reduced(a), _reduced(b), rows):
+            for nu, c in _basis_product(a, b):
                 if nu[0] <= cols:
                     acc[nu] = acc.get(nu, 0) + ca * cb * c
-    return CycleClass(ctx, acc)
+    return CycleClass(x.ctx, acc)
 
 
 def pair_vanishes(ctx: GrassmannContext, a, b) -> bool:

@@ -212,19 +212,29 @@ def _scan(ctx: GrassmannContext, hi: int):
                     yield a, b, not_contained(b, dual_a)
 
 
-def _lr_cross_check(ctx: GrassmannContext, zeros: list):
-    """Yield ``(a, b, fast)``, in scan order, for each shell pair whose LR verdict disagrees.
+def _lr_cross_check(
+    ctx: GrassmannContext, raise_on_mismatch: bool = False
+) -> tuple[list[ZeroPair], list]:
+    """The shell zeros and the pairs whose LR verdict disagrees, from one scan.
 
     One ``_scan`` up to n+1 asks every pair both routes: ``fast`` is the
-    Bruhat verdict, the other is ``chow._lr_vanishes``.  Each Bruhat zero
-    is appended to ``zeros`` as ``(a, b)``, so a caller that runs the
-    generator out has the shell zeros too, for ``_sorted_zeros``.
+    Bruhat verdict, the other is ``chow._lr_vanishes``.  Returns the
+    Bruhat zeros through ``_sorted_zeros`` and the ``(a, b, fast)``
+    disagreements in scan order; with ``raise_on_mismatch`` the first
+    disagreement raises ``RuntimeError`` and the scan stops there.
     """
+    zeros, mismatches = [], []
     for a, b, fast in _scan(ctx, ctx.n + 1):
         if fast:
             zeros.append((a, b))
         if _lr_vanishes(ctx, a, b) != fast:
-            yield a, b, fast
+            if raise_on_mismatch:
+                raise RuntimeError(
+                    f"vanishing criterion disagrees with LR product on "
+                    f"{a} x {b} in {ctx}: fast={fast}, lr={not fast}"
+                )
+            mismatches.append((a, b, fast))
+    return _sorted_zeros(zeros), mismatches
 
 
 def _sorted_zeros(pairs) -> list[ZeroPair]:
@@ -309,13 +319,8 @@ def search_report(ctx: GrassmannContext, cross_validate: bool = False) -> Search
     """
     start = time.perf_counter()
     if cross_validate:
-        zeros = []
-        for a, b, fast in _lr_cross_check(ctx, zeros):
-            raise RuntimeError(
-                f"vanishing criterion disagrees with LR product on "
-                f"{a} x {b} in {ctx}: fast={fast}, lr={not fast}"
-            )
-        pairs = _md_pairs_of(ctx, _sorted_zeros(zeros))
+        zeros, _ = _lr_cross_check(ctx, raise_on_mismatch=True)
+        pairs = _md_pairs_of(ctx, zeros)
     else:
         pairs = md_pairs(ctx)
     limit = sum(pairs[0].codims)
@@ -384,12 +389,12 @@ def verify_thm_md(ctx: GrassmannContext) -> VerificationReport:
     """
     _require_interior(ctx)
     expected = _md_pair(ctx)
-    found = []
+    found, mismatches = _lr_cross_check(ctx)
     counterexamples = [
         {"kind": "fast-vs-lr-mismatch", "a": list(a), "b": list(b)}
-        for a, b, _ in _lr_cross_check(ctx, found)
+        for a, b, _ in mismatches
     ]
-    zeros = [(a, b) for a, b, _ in _sorted_zeros(found)]
+    zeros = [(a, b) for a, b, _ in found]
     counterexamples += [
         {"kind": "unexpected-zero-pair", "a": list(a), "b": list(b)}
         for a, b in zeros

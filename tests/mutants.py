@@ -94,6 +94,32 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "_basis_product: walk one column narrower than lam_1 + mu_1",
+        CHOW,
+        "(lam[0] + mu[0],) * len(lam)",
+        "(lam[0] + mu[0] - 1,) * len(lam)",
+        (
+            CHOW_TESTS + "TestProductMemo::test_memoized_products_are_read_only",
+            CHOW_TESTS + "TestProductMemo::test_memo_is_shared_across_n",
+            PROPS + "test_multiply_matches_box_truncated_oracle",
+            CLI_TESTS + "TestProduct::test_pieri_text",
+            "tests/test_schur_oracle.py::TestAgainstTableauRoute::test_every_pair_in_small_grassmannians",
+        ),
+    ),
+    Mutant(
+        "multiply: column cut one too wide",
+        CHOW,
+        "if nu[0] <= cols:",
+        "if nu[0] <= cols + 1:",
+        (
+            CHOW_TESTS + "TestMultiply::test_hyperplane_times_point_vanishes",
+            CHOW_TESTS + "TestMultiply::test_degree_overflow_vanishes",
+            CHOW_TESTS + "TestPoincarePairing::test_dual_pairs",
+            PROPS + "test_multiply_matches_box_truncated_oracle",
+            CLI_TESTS + "TestProduct::test_vanishing_product",
+        ),
+    ),
+    Mutant(
         "dual_symbol: n+1-i instead of n+2-i",
         "src/schubcalc/core.py",
         "return tuple(ctx.n + 2 - i for i in reversed(s))",

@@ -54,6 +54,24 @@ class TestCycleClass:
         with pytest.raises(ValueError):
             schubert_class(C26, (5, 0, 0))
 
+    @pytest.mark.parametrize("parts,message", [
+        ((1, 0), "partition (1, 0) has 2 parts, expected 3 for G(2,6)"),
+        ([1, 2, 0], "partition (1, 2, 0) is not weakly decreasing"),
+        ((5, 0, 0), "partition (5, 0, 0) does not fit the 3x4 box"),
+        ((1.5, 0, 0), "partition (1.5, 0, 0) has a non-integer part 1.5"),
+    ])
+    def test_invalid_factor_messages(self, parts, message):
+        with pytest.raises(ValueError) as err:
+            schubert_class(C26, parts)
+        assert str(err.value) == message
+
+    def test_arithmetic_with_a_non_class_raises_type_error(self):
+        x = sigma(C26, 1, 0, 0)
+        for op in (lambda: x * 2, lambda: 2 * x, lambda: x + 0, lambda: 0 + x):
+            with pytest.raises(TypeError):
+                op()
+        assert x.__mul__(2) is NotImplemented and x.__add__(0) is NotImplemented
+
     def test_json_sorted(self):
         x = CycleClass(C13, {(2, 0): 1, (1, 1): 2})
         assert x.to_json_dict() == {
@@ -230,9 +248,25 @@ class TestProductMemo:
         from schubcalc.chow import _basis_product
 
         with pytest.raises(TypeError):
-            _basis_product((1,), (1,), 2)[(2, 0)] = 99
-        assert dict(_basis_product((1,), (1,), 2)) == {(2, 0): 1, (1, 1): 1}
+            _basis_product((1, 0), (1, 0))[(2, 0)] = 99
+        assert dict(_basis_product((1, 0), (1, 0))) == {(2, 0): 1, (1, 1): 1}
         assert format_class(multiply(sigma(C13, 1, 0), sigma(C13, 1, 0))) == "σ(2) + σ(1,1)"
+
+    def test_memo_is_shared_across_n(self):
+        """A key is the same k+1-part pair in every G(k, n), so G(2,6) reuses G(2,5)'s product."""
+        from schubcalc import chow
+
+        chow._basis_product.cache_clear()
+        try:
+            c25 = GrassmannContext(2, 5)
+            small = multiply(sigma(c25, 2, 1, 0), sigma(c25, 1, 1, 0))
+            large = multiply(sigma(C26, 2, 1, 0), sigma(C26, 1, 1, 0))
+            info = chow._basis_product.cache_info()
+            assert (info.misses, info.hits) == (1, 1)
+        finally:
+            chow._basis_product.cache_clear()
+        assert small.terms == {(3, 2, 0): 1, (3, 1, 1): 1, (2, 2, 1): 1}
+        assert large.terms == {(3, 2, 0): 1, (3, 1, 1): 1, (2, 2, 1): 1}
 
 
 class TestVanishingCriterion:

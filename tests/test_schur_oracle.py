@@ -168,5 +168,5 @@ class TestAgainstTableauRoute:
                     # and the tableau route finds nothing the oracle missed
                     from schubcalc.chow import _basis_product, _reduced
 
-                    lr = _basis_product(_reduced(parts[i]), _reduced(parts[j]), nvars)
+                    lr = _basis_product(parts[i] + (0,), parts[j] + (0,))  # nvars parts
                     assert {_reduced(nu): c for nu, c in lr} == expansion

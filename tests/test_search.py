@@ -630,7 +630,7 @@ class TestMemoInventory:
 
         values = {
             "search._shell_zeros": search._shell_zeros(C26),
-            "chow._basis_product": _basis_product((2, 1), (1,), 3),
+            "chow._basis_product": _basis_product((2, 1, 0), (1, 0, 0)),
             "schur._kostka_row": _kostka_row((2, 1), 3),
         }
         assert set(values) == self.package_memos()
