@@ -150,7 +150,7 @@ def format_class(x: CycleClass) -> str:
 
 def schubert_class(ctx: GrassmannContext, parts) -> CycleClass:
     """The basis class ``sigma_a`` (codimension convention), coefficient 1."""
-    return CycleClass(ctx, {tuple(parts): 1})
+    return CycleClass(ctx, {_integers("partition", parts): 1})
 
 
 def fundamental_class(ctx: GrassmannContext) -> CycleClass:

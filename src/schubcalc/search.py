@@ -212,29 +212,19 @@ def _scan(ctx: GrassmannContext, hi: int):
                     yield a, b, not_contained(b, dual_a)
 
 
-def _lr_cross_check(
-    ctx: GrassmannContext, raise_on_mismatch: bool = False
-) -> tuple[list[ZeroPair], list]:
-    """The shell zeros and the pairs whose LR verdict disagrees, from one scan.
+def _lr_cross_check(ctx: GrassmannContext, zeros: list):
+    """Yield ``(a, b, fast)``, in scan order, for each shell pair whose LR verdict disagrees.
 
     One ``_scan`` up to n+1 asks every pair both routes: ``fast`` is the
-    Bruhat verdict, the other is ``chow._lr_vanishes``.  Returns the
-    Bruhat zeros through ``_sorted_zeros`` and the ``(a, b, fast)``
-    disagreements in scan order; with ``raise_on_mismatch`` the first
-    disagreement raises ``RuntimeError`` and the scan stops there.
+    Bruhat verdict, the other is ``chow._lr_vanishes``.  Each Bruhat zero
+    is appended to ``zeros`` as ``(a, b)``, so a caller that runs the
+    generator out has the shell zeros too, for ``_sorted_zeros``.
     """
-    zeros, mismatches = [], []
     for a, b, fast in _scan(ctx, ctx.n + 1):
         if fast:
             zeros.append((a, b))
         if _lr_vanishes(ctx, a, b) != fast:
-            if raise_on_mismatch:
-                raise RuntimeError(
-                    f"vanishing criterion disagrees with LR product on "
-                    f"{a} x {b} in {ctx}: fast={fast}, lr={not fast}"
-                )
-            mismatches.append((a, b, fast))
-    return _sorted_zeros(zeros), mismatches
+            yield a, b, fast
 
 
 def _sorted_zeros(pairs) -> list[ZeroPair]:
@@ -319,8 +309,13 @@ def search_report(ctx: GrassmannContext, cross_validate: bool = False) -> Search
     """
     start = time.perf_counter()
     if cross_validate:
-        zeros, _ = _lr_cross_check(ctx, raise_on_mismatch=True)
-        pairs = _md_pairs_of(ctx, zeros)
+        zeros = []
+        for a, b, fast in _lr_cross_check(ctx, zeros):
+            raise RuntimeError(
+                f"vanishing criterion disagrees with LR product on "
+                f"{a} x {b} in {ctx}: fast={fast}, lr={not fast}"
+            )
+        pairs = _md_pairs_of(ctx, _sorted_zeros(zeros))
     else:
         pairs = md_pairs(ctx)
     limit = sum(pairs[0].codims)
@@ -389,12 +384,12 @@ def verify_thm_md(ctx: GrassmannContext) -> VerificationReport:
     """
     _require_interior(ctx)
     expected = _md_pair(ctx)
-    found, mismatches = _lr_cross_check(ctx)
+    found = []
     counterexamples = [
         {"kind": "fast-vs-lr-mismatch", "a": list(a), "b": list(b)}
-        for a, b, _ in mismatches
+        for a, b, _ in _lr_cross_check(ctx, found)
     ]
-    zeros = [(a, b) for a, b, _ in found]
+    zeros = [(a, b) for a, b, _ in _sorted_zeros(found)]
     counterexamples += [
         {"kind": "unexpected-zero-pair", "a": list(a), "b": list(b)}
         for a, b in zeros

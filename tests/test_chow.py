@@ -59,6 +59,7 @@ class TestCycleClass:
         ([1, 2, 0], "partition (1, 2, 0) is not weakly decreasing"),
         ((5, 0, 0), "partition (5, 0, 0) does not fit the 3x4 box"),
         ((1.5, 0, 0), "partition (1.5, 0, 0) has a non-integer part 1.5"),
+        ([[1], 0, 0], "partition ([1], 0, 0) has a non-integer part [1]"),
     ])
     def test_invalid_factor_messages(self, parts, message):
         with pytest.raises(ValueError) as err:
