@@ -16,14 +16,14 @@ is exactly the quotient presentation of the Chow ring.
 One walk, ``_lr_walk``, enumerates these tableaux: one depth-first loop
 over an explicit stack adds the content to lam one letter at a time,
 each letter's cells a horizontal strip placed row by row, with the
-lattice-word condition kept as one running count.  Basis products
-count the shapes it ends in, ``lr_coefficient`` counts its tableaux
-inside a fixed nu, and ``lr_fillings`` reads their rows off the same
-chains of shapes.  ``_lr_vanishes`` asks only whether the box-truncated product
-is zero, which one tableau inside the box answers; two are known with
-no walk (the factors' rows added or merged), so it walks, up to the
-first chain, only a pair that fits neither.  The claims' LR cross-check
-runs through it.
+lattice-word condition kept as one running count.  ``multiply``
+counts the shapes it ends in for each pair of terms, ``lr_coefficient``
+counts its tableaux inside a fixed nu, and ``lr_fillings`` reads their
+rows off the same chains of shapes.  ``_lr_vanishes`` asks only whether
+the box-truncated product is zero, which one tableau inside the box
+answers; two are known with no walk (the factors' rows added or
+merged), so it walks, up to the first chain, only a pair that fits
+neither.  The claims' LR cross-check runs through it.
 
 The module also provides the O(k) vanishing test: ``[X_I]*[X_J]`` is
 nonzero if and only if the dual symbol of I is Bruhat-below J, i.e.
@@ -33,15 +33,12 @@ implemented independently and cross-validated by the test suite: the
 walk keeps its own containment guard and never calls the test's
 predicate ``core._not_contained``.
 
-Everything is pure and safe for concurrent use; the only shared state
-is an internal memo of basis products on the classes' own k+1-part box
-partitions, each entry serving every G(k, n) with that k; it is
-deterministic and holds tuples, so no caller can change what it holds.
+Everything is pure, holds no shared state and is safe for concurrent
+use.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from operator import gt
 
 from schubcalc.core import (
@@ -52,7 +49,6 @@ from schubcalc.core import (
     _reduced,
     bruhat_leq,
     check_partition,
-    check_symbol,
     dual_symbol,
 )
 
@@ -270,35 +266,24 @@ def _lr_vanishes(ctx: GrassmannContext, a: Partition, b: Partition) -> bool:
     return next(_lr_walk(lam, mu, (ctx.cols,) * ctx.rows), None) is None
 
 
-@lru_cache(maxsize=131072)
-def _basis_product(lam: Partition, mu: Partition) -> tuple[tuple[Partition, int], ...]:
-    """LR expansion of sigma_lam*sigma_mu, cut to ``len(lam)`` rows; mu has lam's length.
-
-    ``(nu, c)`` pairs, each nu as long as lam and mu; columns are not
-    cut here, so the memo is shared across all G(k, n) with the same k,
-    whose box partitions have k+1 parts.  The value is a tuple, so
-    callers cannot change what later products see.
-    """
-    if (lam, mu) > (mu, lam):
-        lam, mu = mu, lam
-    counts: dict[Partition, int] = {}
-    for chain in _lr_walk(lam, mu, (lam[0] + mu[0],) * len(lam)):
-        nu = chain[-1]
-        counts[nu] = counts.get(nu, 0) + 1
-    return tuple(counts.items())
-
-
 def multiply(x: CycleClass, y: CycleClass) -> CycleClass:
-    """Product in the Chow ring: bilinear LR expansion, box-truncated."""
+    """Product in the Chow ring: bilinear LR expansion, box-truncated.
+
+    Each pair of terms is walked on its k+1 rows to width lam_1 + mu_1,
+    the lexicographically larger factor as the content, and the shapes
+    wider than the box are cut.
+    """
     if x.ctx != y.ctx:
         raise ValueError(f"context mismatch: {x.ctx} vs {y.ctx}")
     cols = x.ctx.cols
     acc: dict[Partition, int] = {}
     for a, ca in x.terms.items():
         for b, cb in y.terms.items():
-            for nu, c in _basis_product(a, b):
+            lam, mu = (b, a) if (a, b) > (b, a) else (a, b)
+            for chain in _lr_walk(lam, mu, (lam[0] + mu[0],) * len(lam)):
+                nu = chain[-1]
                 if nu[0] <= cols:
-                    acc[nu] = acc.get(nu, 0) + ca * cb * c
+                    acc[nu] = acc.get(nu, 0) + ca * cb
     return CycleClass(x.ctx, acc)
 
 
@@ -319,9 +304,7 @@ def product_vanishes_fast(ctx: GrassmannContext, symbol_i, symbol_j) -> bool:
 
     The product is nonzero exactly when dual(I) is Bruhat-below J.
     """
-    i = check_symbol(ctx, symbol_i)
-    j = check_symbol(ctx, symbol_j)
-    return not bruhat_leq(ctx, dual_symbol(ctx, i), j)
+    return not bruhat_leq(ctx, dual_symbol(ctx, symbol_i), symbol_j)
 
 
 def poincare_pair(x: CycleClass, y: CycleClass) -> int:

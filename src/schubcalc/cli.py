@@ -223,18 +223,15 @@ def _cmd_mdpairs(args):
     lines = [
         f"{ctx}: egd = {report.computed_egd}, "
         f"scanned {report.scanned_pair_count} basis pairs with codim sum <= "
-        f"{report.computed_egd + 1} in {report.elapsed_ms} ms"
+        f"{report.computed_egd + 1} in {report.elapsed_ms} ms",
+        "md-pairs:",
     ]
-    if report.md_pairs:
-        lines.append("md-pairs:")
-        for p in report.md_pairs:
-            t = p.pair_type
-            lines.append(
-                f"  {{({','.join(map(str, p.a))}), ({','.join(map(str, p.b))})}}"
-                f"  type {{{t[0]},{t[1]}}}"
-            )
-    else:
-        lines.append("md-pairs: none")
+    for p in report.md_pairs:
+        t = p.pair_type
+        lines.append(
+            f"  {{({','.join(map(str, p.a))}), ({','.join(map(str, p.b))})}}"
+            f"  type {{{t[0]},{t[1]}}}"
+        )
     return "\n".join(lines) + "\n", report.to_json_dict(), 0
 
 

@@ -94,13 +94,11 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "_basis_product: walk one column narrower than lam_1 + mu_1",
+        "multiply: walk one column narrower than lam_1 + mu_1",
         CHOW,
         "(lam[0] + mu[0],) * len(lam)",
         "(lam[0] + mu[0] - 1,) * len(lam)",
         (
-            CHOW_TESTS + "TestProductMemo::test_memoized_products_are_read_only",
-            CHOW_TESTS + "TestProductMemo::test_memo_is_shared_across_n",
             PROPS + "test_multiply_matches_box_truncated_oracle",
             CLI_TESTS + "TestProduct::test_pieri_text",
             "tests/test_schur_oracle.py::TestAgainstTableauRoute::test_every_pair_in_small_grassmannians",

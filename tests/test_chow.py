@@ -244,32 +244,6 @@ class TestMultiply:
             assert all(c > 0 for c in multiply(x, y).terms.values())
 
 
-class TestProductMemo:
-    def test_memoized_products_are_read_only(self):
-        from schubcalc.chow import _basis_product
-
-        with pytest.raises(TypeError):
-            _basis_product((1, 0), (1, 0))[(2, 0)] = 99
-        assert dict(_basis_product((1, 0), (1, 0))) == {(2, 0): 1, (1, 1): 1}
-        assert format_class(multiply(sigma(C13, 1, 0), sigma(C13, 1, 0))) == "σ(2) + σ(1,1)"
-
-    def test_memo_is_shared_across_n(self):
-        """A key is the same k+1-part pair in every G(k, n), so G(2,6) reuses G(2,5)'s product."""
-        from schubcalc import chow
-
-        chow._basis_product.cache_clear()
-        try:
-            c25 = GrassmannContext(2, 5)
-            small = multiply(sigma(c25, 2, 1, 0), sigma(c25, 1, 1, 0))
-            large = multiply(sigma(C26, 2, 1, 0), sigma(C26, 1, 1, 0))
-            info = chow._basis_product.cache_info()
-            assert (info.misses, info.hits) == (1, 1)
-        finally:
-            chow._basis_product.cache_clear()
-        assert small.terms == {(3, 2, 0): 1, (3, 1, 1): 1, (2, 2, 1): 1}
-        assert large.terms == {(3, 2, 0): 1, (3, 1, 1): 1, (2, 2, 1): 1}
-
-
 class TestVanishingCriterion:
     def test_hyperplane_point_pair(self):
         i_h, i_p = special_symbols(C26)
@@ -289,6 +263,22 @@ class TestVanishingCriterion:
         a = dual_partition(C26, lam)
         expected_zero = not multiply(schubert_class(C26, a), schubert_class(C26, a))
         assert product_vanishes_fast(C26, sym, sym) == expected_zero
+
+    @pytest.mark.parametrize(
+        "si, sj, message",
+        [
+            ((1, 2), (1, 2, 3), "symbol (1, 2) has 2 indices, expected 3 for G(2,6)"),
+            ((1, 2, 3), (3, 2, 1), "symbol (3, 2, 1) is not strictly increasing"),
+            ((1, 2, 3), (1, 2, 8), "symbol (1, 2, 8) is out of range [1, 7] for G(2,6)"),
+            ((0, 2, 3), (1, 2), "symbol (0, 2, 3) is out of range [1, 7] for G(2,6)"),
+            ((1, 2, 3), (1.5, 2, 3), "symbol (1.5, 2, 3) has a non-integer part 1.5"),
+        ],
+    )
+    def test_invalid_symbol_messages(self, si, sj, message):
+        """Either symbol is checked, the first before the second."""
+        with pytest.raises(ValueError) as err:
+            product_vanishes_fast(C26, si, sj)
+        assert str(err.value) == message
 
     def test_partition_form_matches_symbol_form(self):
         from schubcalc import all_symbols
@@ -389,15 +379,11 @@ class TestLrVanishing:
         monkeypatch.setattr(chow, "_not_contained", broken)
         with pytest.raises(AssertionError):
             pair_vanishes(C26, (1, 1, 1), (4, 0, 0))
-        chow._basis_product.cache_clear()
-        try:
-            for a, b, terms, coefficients, zero in cases:
-                assert multiply(sigma(C26, *a), sigma(C26, *b)).terms == terms, (a, b)
-                for nu, c in coefficients.items():
-                    assert lr_coefficient(a, b, nu) == c, (a, b, nu)
-                assert _lr_vanishes(C26, a, b) == zero, (a, b)
-        finally:
-            chow._basis_product.cache_clear()
+        for a, b, terms, coefficients, zero in cases:
+            assert multiply(sigma(C26, *a), sigma(C26, *b)).terms == terms, (a, b)
+            for nu, c in coefficients.items():
+                assert lr_coefficient(a, b, nu) == c, (a, b, nu)
+            assert _lr_vanishes(C26, a, b) == zero, (a, b)
 
 
 class TestPoincarePairing:

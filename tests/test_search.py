@@ -614,23 +614,21 @@ class TestMemoInventory:
             and getattr(obj, "__module__", None) == mod.__name__
         }
 
-    def test_memos_are_the_documented_three(self):
+    def test_memos_are_the_documented_two(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         paragraph = readme[readme.index("The only shared state is"):].split("\n\n")[0]
         documented = set(re.findall(r"`(\w+\.\w+)`", paragraph))
         assert self.package_memos() == documented == {
-            "search._shell_zeros", "chow._basis_product", "schur._kostka_row"
+            "search._shell_zeros", "schur._kostka_row"
         }
 
     def test_memo_values_are_hashable(self):
         """Each memo hands out a tuple, so no caller can change what it holds."""
         import schubcalc.search as search
-        from schubcalc.chow import _basis_product
         from schubcalc.schur import _kostka_row
 
         values = {
             "search._shell_zeros": search._shell_zeros(C26),
-            "chow._basis_product": _basis_product((2, 1, 0), (1, 0, 0)),
             "schur._kostka_row": _kostka_row((2, 1), 3),
         }
         assert set(values) == self.package_memos()
