@@ -2,7 +2,7 @@
 
 This module re-derives products of Schubert basis classes through
 symmetric polynomials, on a code path deliberately disjoint from the
-tableau backtracking in :mod:`schubcalc.chow`: it knows nothing about
+tableau walk in :mod:`schubcalc.chow`: it knows nothing about
 skew tableaux, lattice words or boxes.
 
 The expansion of ``s_lam * s_mu`` in ``m`` variables is computed in two
@@ -56,8 +56,8 @@ def _kostka_row(shape: tuple[int, ...], nvars: int) -> tuple:
     Returns pairs ``(weight, Kostka number)``; each weight is a weakly
     decreasing exponent vector of length ``nvars``.  Values placed in
     the tableau are the variable indices; variable v occupies a
-    horizontal strip, which gives the chain recursion over strips used
-    here, restricted to chains with nonincreasing strip sizes.
+    horizontal strip, so a chain grows one strip per variable, here
+    restricted to chains with nonincreasing strip sizes.
     """
     nrows = len(shape)
     if nrows > nvars:
@@ -108,7 +108,9 @@ def lr_oracle(lam, mu, num_vars: int) -> dict[tuple[int, ...], int]:
     reduced partition keys, complete for every nu with at most
     ``num_vars`` rows.  ``num_vars`` must be at least the number of
     nonzero parts of each factor, otherwise the factors themselves
-    vanish identically and the expansion is meaningless.
+    vanish identically and the expansion is meaningless.  The signed sum
+    is one loop over an explicit stack, one exponent per variable, so
+    its depth is bounded by memory, not by the recursion limit.
     """
     lam, mu = _reduced(lam), _reduced(mu)
     (m,) = _integers("num_vars", (num_vars,))
@@ -122,29 +124,26 @@ def lr_oracle(lam, mu, num_vars: int) -> dict[tuple[int, ...], int]:
     delta = tuple(range(m - 1, -1, -1))
     shifted = [p + d for p, d in zip(lam + (0,) * (m - len(lam)), delta)]
     acc: dict[tuple[int, ...], int] = {}
-    placed: list[int] = []  # entries of v chosen so far, ascending
-
-    def place(i: int, parts: list[int], left: list[int], sign: int, kostka: int) -> None:
-        # Put each distinct unused part of the content at position i.
-        if i == m:
-            nu = tuple(x - d for x, d in zip(reversed(placed), delta))
-            acc[nu] = acc.get(nu, 0) + sign * kostka
-            return
-        for j, a in enumerate(parts):
-            if not left[j]:
-                continue
-            x = shifted[i] + a
-            pos = bisect_left(placed, x)
-            if pos < i and placed[pos] == x:
-                continue  # repeated exponent: the alternant is zero
-            # pos earlier entries are smaller than x; each one is an inversion
-            left[j] -= 1
-            placed.insert(pos, x)
-            place(i + 1, parts, left, -sign if pos & 1 else sign, kostka)
-            del placed[pos]
-            left[j] += 1
-
     for weight, kostka in _kostka_row(mu, m):
-        parts = sorted(set(weight), reverse=True)
-        place(0, parts, [weight.count(a) for a in parts], 1, kostka)
+        # (exponents placed so far, ascending; unused parts, ascending; signed Kostka number)
+        stack = [([], weight[::-1], kostka)]
+        while stack:
+            placed, rest, coeff = stack.pop()
+            i = len(placed)
+            for j, a in enumerate(rest):
+                if j and rest[j - 1] == a:
+                    continue  # the same part again gives the same terms
+                x = shifted[i] + a
+                pos = bisect_left(placed, x)
+                if pos < i and placed[pos] == x:
+                    continue  # repeated exponent: the alternant is zero
+                # pos earlier entries are smaller than x; each one is an inversion
+                grown = placed.copy()
+                grown.insert(pos, x)
+                signed = -coeff if pos & 1 else coeff
+                if len(rest) > 1:
+                    stack.append((grown, rest[:j] + rest[j + 1:], signed))
+                else:  # the last variable: grown is v sorted, so the term is complete
+                    nu = tuple(e - d for e, d in zip(reversed(grown), delta))
+                    acc[nu] = acc.get(nu, 0) + signed
     return {_reduced(nu): c for nu, c in acc.items() if c}

@@ -40,7 +40,9 @@ CHOW_TESTS = "tests/test_chow.py::"
 CLI_TESTS = "tests/test_cli.py::"
 CORE_TESTS = "tests/test_core.py::"
 PROPS = "tests/test_properties.py::"
+SCHUR = "src/schubcalc/schur.py"
 SEARCH_TESTS = "tests/test_search.py::"
+NAIVE = "tests/test_schur_oracle.py::TestAgainstNaiveReference::"
 
 MUTANTS = (
     Mutant(
@@ -151,11 +153,33 @@ MUTANTS = (
     ),
     Mutant(
         "_kostka_row: rejects nrows >= nvars instead of nrows > nvars",
-        "src/schubcalc/schur.py",
+        SCHUR,
         "if nrows > nvars:",
         "if nrows >= nvars:",
         (
             "tests/test_schur_oracle.py::test_drawn_shapes_match_naive_reference",
+        ),
+    ),
+    Mutant(
+        "lr_oracle: sorting sign dropped, every term kept with a plus sign",
+        SCHUR,
+        "-coeff if pos & 1 else coeff",
+        "coeff",
+        (
+            NAIVE + "test_small_boxes",
+            NAIVE + "test_three_row_shapes",
+            NAIVE + "test_four_row_shapes",
+        ),
+    ),
+    Mutant(
+        "lr_oracle: repeated-exponent skip removed, so zero alternants add terms",
+        SCHUR,
+        "if pos < i and placed[pos] == x:",
+        "if False:",
+        (
+            NAIVE + "test_small_boxes",
+            NAIVE + "test_three_row_shapes",
+            NAIVE + "test_four_row_shapes",
         ),
     ),
 )

@@ -93,6 +93,11 @@ class TestKnownExpansions:
         # Exponents past 255: the expansion is exact at any width.
         assert lr_oracle((300,), (1,), 2) == {(301,): 1, (300, 1): 1}
 
+    def test_more_variables_than_the_recursion_limit(self):
+        # One exponent per variable on an explicit stack, so 1100 variables need no deep call chain.
+        column = (1,) * 1099
+        assert lr_oracle(column, (1,), 1100) == {(1,) * 1100: 1, (2,) + (1,) * 1098: 1}
+
     def test_insufficient_variables_rejected(self):
         with pytest.raises(ValueError):
             lr_oracle((2, 1, 1), (1,), 2)
