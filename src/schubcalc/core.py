@@ -23,12 +23,14 @@ The conversion between the two is a single call to
 :func:`dual_partition`; forcing one convention everywhere invites
 off-by-complement bugs.
 
-Box partitions are enumerated by weight: :func:`box_layer` gives the
-partitions of one weight and :func:`box_partitions`, all C(n+1, k+1) of
-them, is the concatenation of the layers.  Neither is memoized; each
-call builds what it returns.  A search that needs only low weights
-builds only those layers, and ``_layer_sizes`` counts them (Gaussian
-binomial coefficients) without building any.
+Box partitions are enumerated by weight.  One depth-first walk of the
+box, ``_box_layers(ctx, lo, hi)``, builds the layers of every weight in
+[lo, hi] at once: :func:`box_layer` is its window [w, w] and
+:func:`box_partitions`, all C(n+1, k+1) of them, the concatenation of
+its window [0, dim].  Nothing is memoized; each call builds what it
+returns.  A search that needs only low weights walks only up to them,
+and ``_layer_sizes`` counts the layers (Gaussian binomial coefficients)
+without building any.
 
 Partitions are plain ``tuple[int, ...]`` of fixed length k+1 with
 explicit trailing zeros; symbols are plain 1-based tuples.  Parts, and
@@ -234,29 +236,54 @@ def special_symbols(ctx: GrassmannContext) -> tuple[SchubertSymbol, SchubertSymb
     return i_h, i_p
 
 
+def _box_layers(ctx: GrassmannContext, lo: int, hi: int) -> list[tuple[Partition, ...]]:
+    """The box partitions of each weight lo, ..., hi, one ascending tuple per weight.
+
+    Entry ``i`` is the layer of weight ``lo + i``; weights outside
+    [0, dim] have empty layers.  One depth-first walk from a stack, not
+    by recursion, builds them all: an entry is (parts, cap, weight so
+    far), and the next part runs from the smallest value with which the
+    remaining rows can still reach ``lo`` up to the largest the row
+    above and ``hi`` allow.  An entry that has reached ``lo`` first
+    completes itself with zeros, and the last row puts each of its values
+    into that value's layer.  The smallest part is popped first, so every
+    layer comes out sorted.  Not memoized: each call builds what it
+    returns.
+    """
+    layers = [[] for _ in range(hi - lo + 1)]
+    top = min(hi, ctx.dim)
+    rows, stack = ctx.rows, [((), ctx.cols, 0)] if max(lo, 0) <= top else []
+    while stack:
+        parts, cap, w = stack.pop()
+        r = rows - len(parts)
+        if r == 1:  # conditional expressions: cheaper than min and max per leaf
+            v = lo - w if lo > w else 0
+            end = top - w if top - w < cap else cap
+            while v <= end:
+                layers[w + v - lo].append(parts + (v,))
+                v += 1
+            continue
+        if w >= lo:
+            layers[w - lo].append(parts + (0,) * r)
+            if w == top:
+                continue
+            least = 1
+        else:
+            least = -((w - lo) // r)  # ceil((lo - w) / r)
+        stack += [(parts + (v,), v, w + v) for v in range(min(cap, top - w), least - 1, -1)]
+    return list(map(tuple, layers))
+
+
 def box_layer(ctx: GrassmannContext, w: int) -> tuple[Partition, ...]:
     """The partitions in the (k+1) x (n-k) box of weight exactly ``w``, ascending.
 
     Empty unless ``0 <= w <= dim``; a ``w`` that is not an integer is a
-    ``ValueError``.  Parts are chosen row by row, each from the smallest
-    value the remaining rows can still make up to the largest the row
-    above allows, zeros once the weight is used up: depth first from a
-    stack, not by recursion, largest pushed first, so the layer comes out
-    sorted.  Not memoized: the searches build the layers they need once.
+    ``ValueError``.  The window [w, w] of ``_box_layers``; not memoized.
     """
     (w,) = _integers("weight", (w,))
     if not 0 <= w <= ctx.dim:
         return ()
-    rows, out, stack = ctx.rows, [], [((), ctx.cols, w)]  # (parts, cap, weight left)
-    while stack:
-        parts, cap, left = stack.pop()
-        r = rows - len(parts)
-        if r == 1 or not left:
-            out.append(parts + (left,) + (0,) * (r - 1))
-        else:
-            stack += [(parts + (v,), v, left - v)
-                      for v in range(min(cap, left), (left - 1) // r, -1)]
-    return tuple(out)
+    return _box_layers(ctx, w, w)[0]
 
 
 def _layer_sizes(ctx: GrassmannContext, hi: int) -> list[int]:
@@ -282,10 +309,10 @@ def _layer_sizes(ctx: GrassmannContext, hi: int) -> list[int]:
 def box_partitions(ctx: GrassmannContext) -> tuple[Partition, ...]:
     """All partitions in the (k+1) x (n-k) box, sorted by (weight, parts).
 
-    There are C(n+1, k+1) of them: the concatenation of
-    ``box_layer(ctx, w)`` for w = 0, ..., dim, rebuilt on each call.
+    There are C(n+1, k+1) of them: the concatenation of the layers of
+    one ``_box_layers`` walk of [0, dim], rebuilt on each call.
     """
-    return tuple(chain.from_iterable(box_layer(ctx, w) for w in range(ctx.dim + 1)))
+    return tuple(chain.from_iterable(_box_layers(ctx, 0, ctx.dim)))
 
 
 def all_symbols(ctx: GrassmannContext) -> tuple[SchubertSymbol, ...]:

@@ -31,20 +31,21 @@ shell zeros off one scan of their own, ``_lr_cross_check``, which also
 asks every pair the Littlewood-Richardson route, ``chow._lr_vanishes``:
 two tableaux known to fit answer all but the hook pairs of weight n+1.
 
-Every pair scan runs through one kernel, ``_scan``, which builds only
-the weight layers (:func:`schubcalc.core.box_layer`) up to its
-codimension bound and keeps them only while it runs.  Before that,
-``_check_scan_size`` refuses more than ``MAX_SCAN_PAIRS`` pairs with a
-``ValueError``, from a closed-form lower bound or from the layer sizes
-``core._layer_sizes``, never from a layer; ``_checked_contexts`` runs
-it on every context of a sweep or a classification table before the
-first is checked.  Each pair is tested as ``b`` not inside ``dual(a)``
-through the single predicate ``_not_contained`` of
-:mod:`schubcalc.core`, which :func:`schubcalc.chow.pair_vanishes` uses
-as well.  ``verify_prop_comp`` is the ordered reading of the shell
-zeros: lam is not inside mu exactly when ``sigma_lam * sigma_dual(mu)``
-vanishes, so each unordered pair {a, b} is the two hypotheses
-(a, dual(b)) and (b, dual(a)).  Pair enumeration is deterministic:
+Every pair scan runs through one kernel, ``_scan``, which builds the
+weight layers up to its codimension bound in one walk of the box,
+``core._box_layers``, and keeps them, unmemoized, only while it runs.
+Before that, ``_check_scan_size`` refuses more than ``MAX_SCAN_PAIRS``
+pairs with a ``ValueError``, from a closed-form lower bound or from the
+layer sizes ``core._layer_sizes``, never from a layer;
+``_checked_contexts`` runs it on every context of a sweep or a
+classification table before the first is checked.  Each pair is tested
+as ``b`` not inside ``dual(a)`` through the single predicate
+``_not_contained`` of :mod:`schubcalc.core`, which
+:func:`schubcalc.chow.pair_vanishes` uses as well.
+``verify_prop_comp`` is the ordered reading of the shell zeros: lam is
+not inside mu exactly when ``sigma_lam * sigma_dual(mu)`` vanishes, so
+each unordered pair {a, b} is the two hypotheses (a, dual(b)) and
+(b, dual(a)).  Pair enumeration is deterministic:
 partitions are ordered by (weight, parts) and unordered pairs are
 canonicalized with the smaller partition first.
 """
@@ -58,7 +59,7 @@ from itertools import accumulate
 
 from schubcalc.chow import _lr_vanishes
 from schubcalc.core import (
-    GrassmannContext, Partition, _integers, _layer_sizes, _not_contained, box_layer,
+    GrassmannContext, Partition, _box_layers, _integers, _layer_sizes, _not_contained,
     dual_partition,
 )
 
@@ -193,17 +194,17 @@ def _scan(ctx: GrassmannContext, hi: int):
     """Yield ``(a, b, vanishes)`` for every unordered basis pair with |a|+|b| <= hi.
 
     The scan kernel of every pair search.  It first refuses an oversized
-    scan (``_check_scan_size``); then it builds the layers of weight
-    <= hi, which live as long as the scan.  ``a`` runs through them in
-    (weight, parts) order and ``b`` from ``a`` onward in the same order
-    (self-pairs included).  The product is symmetric, so each pair is
-    tested as ``b`` not contained in ``dual(a)``, with ``dual(a)``
-    computed once per ``a``.
+    scan (``_check_scan_size``); then one ``_box_layers`` walk builds
+    the layers of weight <= hi, which live as long as the scan.  ``a``
+    runs through them in (weight, parts) order and ``b`` from ``a``
+    onward in the same order (self-pairs included).  The product is
+    symmetric, so each pair is tested as ``b`` not contained in
+    ``dual(a)``, with ``dual(a)`` computed once per ``a``.
     """
     _check_scan_size(ctx, hi)
     not_contained = _not_contained
     cols = ctx.cols
-    layers = [box_layer(ctx, w) for w in range(hi + 1)]
+    layers = _box_layers(ctx, 0, hi)
     for wa in range(hi // 2 + 1):
         for i, a in enumerate(layers[wa]):
             dual_a = tuple([cols - x for x in reversed(a)])

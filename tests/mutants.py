@@ -132,6 +132,27 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "_box_layers: weight cap one too high (hi - w + 1)",
+        "src/schubcalc/core.py",
+        "range(min(cap, top - w), least - 1, -1)",
+        "range(min(cap, top - w + 1), least - 1, -1)",
+        (
+            CORE_TESTS + "TestBoxLayer::test_walk_matches_brute_force_in_every_window",
+            SEARCH_TESTS + "TestVerifyThmMd::test_passes[3-8]",
+        ),
+    ),
+    Mutant(
+        "_box_layers: zero completion emitted one weight below lo",
+        "src/schubcalc/core.py",
+        "if w >= lo:",
+        "if w >= lo - 1:",
+        (
+            CORE_TESTS + "TestBoxLayer::test_walk_matches_brute_force_in_every_window",
+            CORE_TESTS + "TestBoxLayer::test_matches_weight_filter_of_full_box",
+            CORE_TESTS + "TestBoxLayer::test_sizes_sum_to_binomial",
+        ),
+    ),
+    Mutant(
         "_layer_sizes: one factor of the Gaussian binomial too few",
         "src/schubcalc/core.py",
         "for i in range(1, min(short, hi) + 1):",

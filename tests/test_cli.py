@@ -196,10 +196,10 @@ class TestEgdCommand:
     def test_oversized_request_exits_two_before_building_a_layer(self, capsys, monkeypatch):
         import schubcalc.search as search
 
-        def refuse(ctx, w):
-            raise AssertionError(f"box_layer({ctx}, {w}) built for an oversized request")
+        def refuse(ctx, lo, hi):
+            raise AssertionError(f"_box_layers({ctx}, {lo}, {hi}) built for an oversized request")
 
-        monkeypatch.setattr(search, "box_layer", refuse)
+        monkeypatch.setattr(search, "_box_layers", refuse)
         code, out, err = run(capsys, "egd", "--k", "30", "--n", "60")
         assert code == 2
         assert out == ""
@@ -239,7 +239,7 @@ class TestOversizedRequests:
             raise AssertionError(f"{args} built for an oversized request")
 
         monkeypatch.setattr(search, "_layer_sizes", small_sizes)
-        monkeypatch.setattr(search, "box_layer", refuse)
+        monkeypatch.setattr(search, "_box_layers", refuse)
         monkeypatch.setattr(morphisms, "classify", refuse)
         monkeypatch.setattr(cli, "normalize_partition", refuse)
         code, out, err = run(capsys, *argv.split())
@@ -343,8 +343,8 @@ class TestVerifyCommand:
     ):
         import schubcalc.search as search
 
-        def refuse(ctx, w):
-            raise AssertionError(f"box_layer({ctx}, {w}) built for an oversized sweep")
+        def refuse(ctx, lo, hi):
+            raise AssertionError(f"_box_layers({ctx}, {lo}, {hi}) built for an oversized sweep")
 
         made = []
         real_context = cli.GrassmannContext
@@ -353,7 +353,7 @@ class TestVerifyCommand:
             made.append((k, n))
             return real_context(k, n)
 
-        monkeypatch.setattr(search, "box_layer", refuse)
+        monkeypatch.setattr(search, "_box_layers", refuse)
         monkeypatch.setattr(cli, "GrassmannContext", recording_context)
         code, out, err = run(capsys, "verify", claim, "--max-n", max_n)
         assert code == 2
@@ -371,10 +371,10 @@ class TestVerifyCommand:
     ):
         import schubcalc.search as search
 
-        def refuse(ctx, w):
-            raise AssertionError(f"box_layer({ctx}, {w}) built for an oversized LR check")
+        def refuse(ctx, lo, hi):
+            raise AssertionError(f"_box_layers({ctx}, {lo}, {hi}) built for an oversized LR check")
 
-        monkeypatch.setattr(search, "box_layer", refuse)
+        monkeypatch.setattr(search, "_box_layers", refuse)
         code, out, err = run(capsys, *argv.split())
         assert code == 2
         assert out == ""

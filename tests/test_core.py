@@ -270,11 +270,37 @@ class TestBoxLayer:
             for c in combinations_with_replacement(range(ctx.cols + 1), ctx.rows)
         ]
 
-    def test_matches_weight_filter_of_full_box(self):
+    @classmethod
+    def brute_layers(cls, ctx, hi):
+        """The brute-force box bucketed by weight 0, ..., hi, each bucket sorted."""
+        layers = [[] for _ in range(hi + 1)]
+        for p in cls.brute_box(ctx):
+            if sum(p) <= hi:
+                layers[sum(p)].append(p)
+        return [tuple(sorted(layer)) for layer in layers]
+
+    def test_walk_matches_brute_force_in_every_window(self):
+        from schubcalc.core import _box_layers
+
         for ctx in small_contexts(9):
-            full = self.brute_box(ctx)
-            for w in range(ctx.dim + 1):
-                assert list(box_layer(ctx, w)) == sorted(p for p in full if sum(p) == w)
+            top = ctx.dim + 2
+            brute = self.brute_layers(ctx, top)
+            for lo in range(top + 1):  # lo = hi, hi > dim and lo > dim included
+                for hi in range(lo, top + 1):
+                    assert _box_layers(ctx, lo, hi) == brute[lo:hi + 1], (ctx, lo, hi)
+
+    @pytest.mark.parametrize("k", [0, 999])
+    def test_walk_sizes_on_a_single_row_and_a_single_column(self, k):
+        from schubcalc.core import _box_layers, _layer_sizes
+
+        ctx = GrassmannContext(k, 1000)
+        hi = ctx.dim + 2
+        assert [len(layer) for layer in _box_layers(ctx, 0, hi)] == _layer_sizes(ctx, hi)
+
+    def test_matches_weight_filter_of_full_box(self):
+        for ctx in small_contexts(14):
+            layers = self.brute_layers(ctx, ctx.dim)
+            assert [box_layer(ctx, w) for w in range(ctx.dim + 1)] == layers, ctx
 
     def test_sizes_sum_to_binomial(self):
         for ctx in small_contexts(12):
@@ -301,9 +327,10 @@ class TestBoxLayer:
             assert _layer_sizes(ctx, ctx.n + 1) == sizes[:ctx.n + 2], ctx
 
     def test_box_partitions_is_their_concatenation(self):
-        for ctx in small_contexts(9):
-            layers = [p for w in range(ctx.dim + 1) for p in box_layer(ctx, w)]
-            assert list(box_partitions(ctx)) == layers
+        for ctx in small_contexts(14):
+            full = tuple(p for layer in self.brute_layers(ctx, ctx.dim) for p in layer)
+            assert box_partitions(ctx) == full, ctx  # (weight, parts) order
+            assert len(full) == comb(ctx.n + 1, ctx.rows)
 
 
 class TestRender:

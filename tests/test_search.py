@@ -376,13 +376,13 @@ class TestShellOnly:
 
         weights_read = set()
 
-        def recording_layer(ctx, w):
-            weights_read.add(w)
-            return core.box_layer(ctx, w)
+        def recording_layers(ctx, lo, hi):
+            weights_read.update(range(lo, hi + 1))
+            return core._box_layers(ctx, lo, hi)
 
         monkeypatch.setattr(core, "box_partitions", refuse)
         monkeypatch.setattr(search, "box_partitions", refuse, raising=False)
-        monkeypatch.setattr(search, "box_layer", recording_layer)
+        monkeypatch.setattr(search, "_box_layers", recording_layers)
         search._shell_zeros.cache_clear()
         ctx = GrassmannContext(k, n)
         expected = ((1,) * ctx.rows, (ctx.cols,) + (0,) * ctx.k)
@@ -402,11 +402,11 @@ class TestOneShellScan:
         import schubcalc.core as core
         import schubcalc.search as search
 
-        def refuse(ctx, w):
-            raise AssertionError(f"box_layer({ctx}, {w}) built to count pairs")
+        def refuse(ctx, lo, hi):
+            raise AssertionError(f"_box_layers({ctx}, {lo}, {hi}) built to count pairs")
 
-        monkeypatch.setattr(core, "box_layer", refuse)
-        monkeypatch.setattr(search, "box_layer", refuse)
+        monkeypatch.setattr(core, "_box_layers", refuse)
+        monkeypatch.setattr(search, "_box_layers", refuse)
         for n in range(1, 13):
             for k in range(n):
                 ctx = GrassmannContext(k, n)
@@ -573,10 +573,10 @@ class TestLrLimit:
         class Scanning(Exception):
             pass
 
-        def scanning(ctx, w):
-            raise Scanning  # past every size check: the scan builds its first layer
+        def scanning(ctx, lo, hi):
+            raise Scanning  # past every size check: the scan builds its layers
 
-        monkeypatch.setattr(search, "box_layer", scanning)
+        monkeypatch.setattr(search, "_box_layers", scanning)
         ctx = GrassmannContext(k, n)
         with pytest.raises(Scanning):
             verify_thm_md(ctx)
@@ -586,10 +586,10 @@ class TestLrLimit:
     def test_larger_context_is_refused_before_a_layer_is_built(self, monkeypatch):
         import schubcalc.search as search
 
-        def refuse(ctx, w):
-            raise AssertionError(f"box_layer({ctx}, {w}) built for an oversized LR check")
+        def refuse(ctx, lo, hi):
+            raise AssertionError(f"_box_layers({ctx}, {lo}, {hi}) built for an oversized LR check")
 
-        monkeypatch.setattr(search, "box_layer", refuse)
+        monkeypatch.setattr(search, "_box_layers", refuse)
         ctx = GrassmannContext(18, 37)
         limit = rf"G\(18,37\) has 10948109 basis pairs .* scan limit of {search.MAX_SCAN_PAIRS}$"
         with pytest.raises(ValueError, match=limit):
