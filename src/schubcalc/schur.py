@@ -8,16 +8,25 @@ skew tableaux, lattice words or boxes.
 The expansion of ``s_lam * s_mu`` in ``m`` variables is computed in two
 steps, in exact integer arithmetic throughout.
 
-1. Kostka row of the smaller factor ``mu``.  A Schur polynomial is the
-   generating function of semistandard tableaux, so the coefficient of
-   ``x^alpha`` in ``s_mu`` is the number of tableaux of shape ``mu`` and
-   content ``alpha``.  Peeling a tableau into horizontal strips, one
-   strip per variable, makes it a chain ``0 = t_0 <= ... <= t_m = mu``
-   with ``alpha_v = |t_v| - |t_v-1|``.  ``s_mu`` is symmetric, so that
-   coefficient depends only on ``sort(alpha)`` and equals the Kostka
-   number ``K_{mu, sort(alpha)}``; it suffices to walk the chains whose
-   strip sizes never increase, which yields exactly the dominant
-   contents (Fulton, *Young Tableaux*, §2).
+1. Kostka row of the factor with fewer monomials, called ``mu``.  The
+   signed sum of step 2 visits every monomial of the factor it
+   expands, and takes the other one whole, so the factor expanded is
+   the one whose polynomial in ``m`` variables has fewer monomials,
+   counted with coefficients by the hook-content formula
+   ``s_mu(1, ..., 1) = prod (m + c(u)) / prod h(u)`` over the cells
+   ``u`` of ``mu`` (Stanley, *Enumerative Combinatorics 2*,
+   Cor. 7.21.4); on a tie the lighter factor by weight is expanded,
+   and on equal weight the second one given.  A Schur polynomial is
+   the generating function of semistandard tableaux, so the
+   coefficient of ``x^alpha`` in ``s_mu`` is the number of tableaux of
+   shape ``mu`` and content ``alpha``.  Peeling a tableau into
+   horizontal strips, one strip per variable, makes it a chain
+   ``0 = t_0 <= ... <= t_m = mu`` with ``alpha_v = |t_v| - |t_v-1|``.
+   ``s_mu`` is symmetric, so that coefficient depends only on
+   ``sort(alpha)`` and equals the Kostka number ``K_{mu, sort(alpha)}``;
+   it suffices to walk the chains whose strip sizes never increase,
+   which yields exactly the dominant contents (Fulton, *Young
+   Tableaux*, §2).
 2. Signed sum over alternants (Brauer-Klimyk).  With ``delta = (m-1,
    ..., 1, 0)`` and ``a_gamma`` the antisymmetrization of ``x^gamma``,
    ``s_lam = a_{lam+delta} / a_delta``.  Multiplying by the symmetric
@@ -31,7 +40,8 @@ steps, in exact integer arithmetic throughout.
    alternant with a repeated exponent is zero; otherwise sorting
    ``v = lam+alpha+delta`` decreasingly costs the sign of the sorting
    permutation and gives ``s_nu`` with ``nu = sort(v) - delta``
-   (Fulton-Harris, *Representation Theory*, §25).
+   (Fulton-Harris, *Representation Theory*, §25), a partition by
+   construction, whose trailing zeros are the only thing to strip.
 
 Both steps are identities of polynomials in ``m`` variables, so the
 expansion is exact and complete for every shape with at most ``m``
@@ -45,8 +55,30 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import lru_cache
 from itertools import product as _iproduct
+from operator import sub
 
 from schubcalc.core import _integers, _reduced
+
+
+def _monomials(shape: tuple[int, ...], nvars: int) -> int:
+    """Number of monomials of ``s_shape`` in ``nvars`` variables, counted with coefficients.
+
+    That is the number of semistandard tableaux of shape ``shape`` with
+    entries at most ``nvars``, by the hook-content formula; 0 when the
+    shape has more rows than variables.
+    """
+    if len(shape) > nvars:
+        return 0
+    heights = [0] * (shape[0] if shape else 0)  # the column lengths
+    for part in shape:
+        for j in range(part):
+            heights[j] += 1
+    contents = hooks = 1
+    for i, part in enumerate(shape):
+        for j in range(part):
+            contents *= nvars + j - i
+            hooks *= part - j + heights[j] - i - 1
+    return contents // hooks
 
 
 @lru_cache(maxsize=None)
@@ -108,9 +140,13 @@ def lr_oracle(lam, mu, num_vars: int) -> dict[tuple[int, ...], int]:
     reduced partition keys, complete for every nu with at most
     ``num_vars`` rows.  ``num_vars`` must be at least the number of
     nonzero parts of each factor, otherwise the factors themselves
-    vanish identically and the expansion is meaningless.  The signed sum
-    is one loop over an explicit stack, one exponent per variable, so
-    its depth is bounded by memory, not by the recursion limit.
+    vanish identically and the expansion is meaningless.  The factor
+    with fewer monomials in ``num_vars`` variables is the one expanded
+    (on a tie the lighter, then the second given); the expansion is the
+    same either way.  The signed sum is one loop over an explicit
+    stack, one exponent per variable, so its depth is bounded by
+    memory, not by the recursion limit; each term is built once, as a
+    reduced partition, where the last exponent is placed.
     """
     lam, mu = _reduced(lam), _reduced(mu)
     (m,) = _integers("num_vars", (num_vars,))
@@ -119,8 +155,8 @@ def lr_oracle(lam, mu, num_vars: int) -> dict[tuple[int, ...], int]:
             f"num_vars={num_vars} is too small for shapes {lam} and {mu}; "
             "need at least the number of nonzero parts of each factor"
         )
-    if sum(mu) > sum(lam):
-        lam, mu = mu, lam
+    if (_monomials(lam, m), sum(lam)) < (_monomials(mu, m), sum(mu)):
+        lam, mu = mu, lam  # expand the factor with fewer monomials, on a tie the lighter
     delta = tuple(range(m - 1, -1, -1))
     shifted = [p + d for p, d in zip(lam + (0,) * (m - len(lam)), delta)]
     acc: dict[tuple[int, ...], int] = {}
@@ -144,6 +180,8 @@ def lr_oracle(lam, mu, num_vars: int) -> dict[tuple[int, ...], int]:
                 if len(rest) > 1:
                     stack.append((grown, rest[:j] + rest[j + 1:], signed))
                 else:  # the last variable: grown is v sorted, so the term is complete
-                    nu = tuple(e - d for e, d in zip(reversed(grown), delta))
+                    nu = tuple(map(sub, reversed(grown), delta))
+                    if not nu[-1]:
+                        nu = nu[:nu.index(0)]  # a partition: its zeros all trail
                     acc[nu] = acc.get(nu, 0) + signed
-    return {_reduced(nu): c for nu, c in acc.items() if c}
+    return {nu: c for nu, c in acc.items() if c}

@@ -43,6 +43,7 @@ PROPS = "tests/test_properties.py::"
 SCHUR = "src/schubcalc/schur.py"
 SEARCH_TESTS = "tests/test_search.py::"
 NAIVE = "tests/test_schur_oracle.py::TestAgainstNaiveReference::"
+KNOWN = "tests/test_schur_oracle.py::TestKnownExpansions::"
 
 MUTANTS = (
     Mutant(
@@ -198,6 +199,28 @@ MUTANTS = (
         "if pos < i and placed[pos] == x:",
         "if False:",
         (
+            NAIVE + "test_small_boxes",
+            NAIVE + "test_three_row_shapes",
+            NAIVE + "test_four_row_shapes",
+        ),
+    ),
+    Mutant(
+        "_monomials: every hook length one too long",
+        SCHUR,
+        "hooks *= part - j + heights[j] - i - 1",
+        "hooks *= part - j + heights[j] - i",
+        (
+            "tests/test_schur_oracle.py::TestMonomialCount::test_hook_content_count_matches_kostka_rows",
+        ),
+    ),
+    Mutant(
+        "lr_oracle: trailing zeros of each term left in place",
+        SCHUR,
+        "nu = nu[:nu.index(0)]",
+        "nu = nu",
+        (
+            KNOWN + "test_square_of_s1",
+            KNOWN + "test_s21_times_s1",
             NAIVE + "test_small_boxes",
             NAIVE + "test_three_row_shapes",
             NAIVE + "test_four_row_shapes",

@@ -3,6 +3,8 @@
 import os
 import subprocess
 import sys
+from collections import Counter
+from math import factorial, prod
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import schubcalc
+import schubcalc.schur as schur
 from schubcalc import (
     GrassmannContext,
     box_partitions,
@@ -132,6 +135,75 @@ class TestAgainstNaiveReference:
         for lam in shapes:
             for mu in [(1,), (1, 1), (2, 1), (1, 1, 1, 1)]:
                 assert lr_oracle(lam, mu, 5) == naive_schur_expand(lam, mu, 5), (lam, mu)
+
+
+def shapes_up_to(cells):
+    """Every partition with at most ``cells`` cells, as a reduced tuple."""
+    def rec(left, cap):
+        yield ()
+        for first in range(min(left, cap), 0, -1):
+            for rest in rec(left - first, first):
+                yield (first,) + rest
+
+    return list(rec(cells, cells))
+
+
+class TestMonomialCount:
+    def test_hook_content_count_matches_kostka_rows(self):
+        # Every weight of a Kostka row stands for each of its distinct rearrangements.
+        for shape in shapes_up_to(8):
+            for nvars in range(1, 7):
+                brute = sum(
+                    kostka * factorial(nvars) // prod(map(factorial, Counter(weight).values()))
+                    for weight, kostka in schur._kostka_row(shape, nvars)
+                )
+                assert schur._monomials(shape, nvars) == brute, (shape, nvars)
+                if len(shape) > nvars:
+                    assert brute == 0
+
+
+class TestFactorChoice:
+    @staticmethod
+    def expanded(monkeypatch, *args):
+        """The shapes whose Kostka rows ``lr_oracle(*args)`` asks for."""
+        asked = []
+        row = schur._kostka_row
+
+        def recording(shape, nvars):
+            asked.append(shape)
+            return row(shape, nvars)
+
+        monkeypatch.setattr(schur, "_kostka_row", recording)
+        result = lr_oracle(*args)
+        monkeypatch.undo()
+        return asked, result
+
+    def test_fewer_monomials_wins_over_lighter_weight(self, monkeypatch):
+        # s_1111 is the single monomial x1 x2 x3 x4; s_3 has 20 in four variables.
+        asked, result = self.expanded(monkeypatch, (3,), (1, 1, 1, 1), 4)
+        assert asked == [(1, 1, 1, 1)]
+        assert result == {(4, 1, 1, 1): 1}
+
+    def test_tie_expands_the_lighter_factor(self, monkeypatch):
+        # Both factors have 1100 monomials in 1100 variables; (1,) is the lighter.
+        asked, _ = self.expanded(monkeypatch, (1,) * 1099, (1,), 1100)
+        assert asked == [(1,)]
+
+    def test_either_order_matches_naive_reference(self):
+        shapes = shapes_up_to(5)
+        disagreeing = 0
+        for nvars in (3, 4, 5):
+            fit = [s for s in shapes if len(s) <= nvars]
+            for i, lam in enumerate(fit):
+                for mu in fit[i:]:
+                    by_count = (schur._monomials(lam, nvars), sum(lam)) < (
+                        schur._monomials(mu, nvars), sum(mu))
+                    disagreeing += by_count != (sum(lam) < sum(mu))
+                    expected = naive_schur_expand(lam, mu, nvars)
+                    assert lr_oracle(lam, mu, nvars) == expected, (lam, mu, nvars)
+                    assert lr_oracle(mu, lam, nvars) == expected, (mu, lam, nvars)
+        # the range holds keys where the weight rule would expand the other factor
+        assert disagreeing
 
 
 @st.composite
