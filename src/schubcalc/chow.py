@@ -21,9 +21,11 @@ counts the shapes it ends in for each pair of terms, ``lr_coefficient``
 counts its tableaux inside a fixed nu, and ``lr_fillings`` reads their
 rows off the same chains of shapes.  ``_lr_vanishes`` asks only whether
 the box-truncated product is zero, which one tableau inside the box
-answers; two are known with no walk (the factors' rows added or
-merged), so it walks, up to the first chain, only a pair that fits
-neither.  The claims' LR cross-check runs through it.
+answers; three are known with no walk (the factors' rows added or
+merged, and one shape for the hook pairs of weight n+1), so it walks,
+up to the first chain, only Theorem md's pair, the pairs heavier than
+n+1 and the pairs of a box with one row or one column.  The claims' LR
+cross-check runs through it.
 
 The module also provides the O(k) vanishing test: ``[X_I]*[X_J]`` is
 nonzero if and only if the dual symbol of I is Bruhat-below J, i.e.
@@ -251,17 +253,45 @@ def _lr_vanishes(ctx: GrassmannContext, a: Partition, b: Partition) -> bool:
     """Whether the box-truncated product ``sigma_a * sigma_b`` is zero, by the LR rule.
 
     Nonzero exactly when some LR tableau of shape nu/a and content b has
-    nu inside the box.  Two are known (Fulton, *Young Tableaux*, section
-    5): c^{a+b}_{a,b} = 1, rows added, is inside when a_1 + b_1 <= n-k,
-    and c^{a u b}_{a,b} = 1, rows merged, when l(a) + l(b) <= k+1, l
-    counting nonzero parts.  A pair that fits neither weighs at least
-    (a_1 + l(a) - 1) + (b_1 + l(b) - 1) >= n+1, equality only for two
-    hooks; only such pairs are walked, to the first chain of
-    :func:`_lr_walk`, the factor of fewer nonzero parts as the content.
-    ``a`` and ``b`` are box partitions of ``ctx``.
+    nu inside the box.  Three are known.  Two come from Fulton, *Young
+    Tableaux*, section 5: c^{a+b}_{a,b} = 1, rows added, is inside when
+    a_1 + b_1 <= n-k, and c^{a u b}_{a,b} = 1, rows merged, when
+    l(a) + l(b) <= k+1, l counting nonzero parts.  A pair that fits
+    neither weighs at least (a_1 + l(a) - 1) + (b_1 + l(b) - 1) >= n+1,
+    equality only for two hooks a = (a_1, 1^p), b = (b_1, 1^q) with
+    a_1 + b_1 = n-k+1 and p + q = k.
+
+    The third is nu = (n-k, 2, 1^(k-1)), of weight n+1, inside the box
+    when k+1 >= 2 and n-k >= 2: c^nu_{a,b} >= 1 for every such hook
+    pair in which neither factor is the full column 1^(k+1).  The
+    tableau, with a and b swapped if p = 0 (then q = k >= 1; the
+    coefficient is symmetric), so that a's cell (2,1) lies inside nu:
+
+    * row 1, columns a_1+1 .. n-k: b_1 - 1 ones;
+    * cell (2,2): 1 if a_1 >= 2, else 2.  When a_1 = 1, a is a column
+      shorter than k+1, so q >= 1 and b has a letter 2; b_1 = n-k >= 2,
+      so a 1 lies right above it;
+    * column 1, rows p+2 .. k+1 (q cells): the letters of b not yet
+      placed, in increasing order, which are 2 .. q+1 if a_1 >= 2 and
+      1, 3 .. q+1 otherwise.
+
+    Its reading word is 1^(b_1 - 1), then 1 or 2, then those letters,
+    and every prefix holds at least as many j's as (j+1)'s: a lattice
+    word.  Each column strictly increases down from a's cells, since
+    (1,2) is a's when a_1 >= 2 and a 1 otherwise.
+
+    Three kinds of pair are walked, to the first chain of
+    :func:`_lr_walk`, the factor of fewer nonzero parts as the content:
+    Theorem md's pair (1^(k+1)) x (n-k), whose product is zero; the
+    pairs heavier than n+1; and, in a box with one row or one column,
+    the hook pairs of weight n+1, which all vanish there.  ``a`` and
+    ``b`` are box partitions of ``ctx``.
     """
     if a[0] + b[0] <= ctx.cols or a.count(0) + b.count(0) >= ctx.rows:
         return False
+    rows = ctx.rows
+    if rows > 1 and ctx.cols > 1 and sum(a) + sum(b) == ctx.n + 1 and (1,) * rows not in (a, b):
+        return False  # a hook pair, not Theorem md's: nu = (n-k, 2, 1^(k-1))
     lam, mu = (b, a) if a.count(0) > b.count(0) else (a, b)
     return next(_lr_walk(lam, mu, (ctx.cols,) * ctx.rows), None) is None
 

@@ -29,7 +29,8 @@ egd = n, and a pair vanishing lower would be reported.
 context.  thm-md and ``search_report(cross_validate=True)`` take the
 shell zeros off one scan of their own, ``_lr_cross_check``, which also
 asks every pair the Littlewood-Richardson route, ``chow._lr_vanishes``:
-two tableaux known to fit answer all but the hook pairs of weight n+1.
+in a box of at least two rows and two columns, three tableaux known to
+fit answer every shell pair but Theorem md's own, the one pair walked.
 
 Every pair scan runs through one kernel, ``_scan``, which builds the
 weight layers up to its codimension bound in one walk of the box,

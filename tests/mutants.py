@@ -97,6 +97,40 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "_lr_vanishes: hook witness fires in a box with one row or one column",
+        CHOW,
+        "if rows > 1 and ctx.cols > 1 and sum(a)",
+        "if sum(a)",
+        (
+            CHOW_TESTS + "TestLrVanishing::test_matches_product_and_bruhat_test_through_n7",
+            CHOW_TESTS + "TestLrVanishing::test_edge_boxes_vanish_at_weight_n_plus_1",
+        ),
+    ),
+    Mutant(
+        "_lr_vanishes: hook witness also answers Theorem md's pair",
+        CHOW,
+        " and (1,) * rows not in (a, b):",
+        ":",
+        (
+            CHOW_TESTS + "TestLrVanishing::test_matches_product_and_bruhat_test_through_n7",
+            CHOW_TESTS + "TestLrVanishing::test_hook_witness_is_an_lr_tableau",
+            CLI_TESTS + "TestVanishes::test_cross_validate",
+            SEARCH_TESTS + "TestVerifyThmMd::test_passes[2-6]",
+            SEARCH_TESTS + "TestVerifyThmMd::test_walks_only_the_hook_pairs[2-6-6]",
+        ),
+    ),
+    Mutant(
+        "_lr_vanishes: hook witness answers every pair heavier than n+1 too",
+        CHOW,
+        "sum(a) + sum(b) == ctx.n + 1",
+        "sum(a) + sum(b) >= ctx.n + 1",
+        (
+            CHOW_TESTS + "TestLrVanishing::test_matches_product_and_bruhat_test_through_n7",
+            CHOW_TESTS + "TestLrVanishing::test_tableau_route_never_calls_the_containment_predicate",
+            PROPS + "test_lr_vanishing_matches_product_and_bruhat_test",
+        ),
+    ),
+    Mutant(
         "multiply: walk one column narrower than lam_1 + mu_1",
         CHOW,
         "(lam[0] + mu[0],) * len(lam)",

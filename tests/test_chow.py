@@ -336,11 +336,15 @@ class TestLrVanishing:
     def test_shortcut_witnesses_are_lr_tableaux_through_n8(self):
         # _lr_vanishes answers "nonzero" without a walk when a_1 + b_1 <= cols
         # (rows added) or l(a) + l(b) <= rows (rows merged); each witness nu
-        # lies in the box and carries exactly one LR tableau.
-        admitted = 0
+        # lies in the box and carries exactly one LR tableau.  Failing both, a
+        # pair of weight n+1 in a box of at least two rows and two columns
+        # is answered by nu = (n-k, 2, 1^(k-1)) unless a factor is 1^(k+1):
+        # that nu lies in the box too, and carries at least one.
+        admitted = hooks = 0
         for n in range(1, 9):
             for k in range(n):
                 ctx = GrassmannContext(k, n)
+                full = (1,) * ctx.rows
                 for a, b in combinations_with_replacement(box_partitions(ctx), 2):
                     witnesses = []
                     if a[0] + b[0] <= ctx.cols:
@@ -353,7 +357,57 @@ class TestLrVanishing:
                         assert nu[0] <= ctx.cols and len(nu) == ctx.rows, (ctx, a, b, nu)
                         assert lr_coefficient(a, b, nu) == 1, (ctx, a, b, nu)
                     admitted += bool(witnesses)
+                    if (not witnesses and ctx.rows > 1 and ctx.cols > 1
+                            and sum(a) + sum(b) == n + 1 and full not in (a, b)):
+                        nu = (ctx.cols, 2) + (1,) * (k - 1)
+                        assert len(nu) == ctx.rows and nu[1] <= ctx.cols, (ctx, a, b, nu)
+                        assert lr_coefficient(a, b, nu) >= 1, (ctx, a, b, nu)
+                        hooks += 1
         assert admitted > 5000
+        assert hooks > 100
+
+    def test_hook_witness_is_an_lr_tableau(self):
+        # every shell pair of an interior G(k, n), n <= 16, that fits neither
+        # the rows-added nor the rows-merged witness has weight n+1; the
+        # third witness nu = (n-k, 2, 1^(k-1)) carries an LR tableau of it
+        # exactly when neither factor is the full column, and _lr_vanishes
+        # calls the pair zero exactly for Theorem md's pair
+        checked = 0
+        for n in range(3, 17):
+            for k in range(1, n - 1):
+                ctx = GrassmannContext(k, n)
+                full = (1,) * ctx.rows
+                nu = (ctx.cols, 2) + (1,) * (k - 1)
+                for w in range((n + 1) // 2 + 1):
+                    layer = box_layer(ctx, n + 1 - w)
+                    for a in box_layer(ctx, w):
+                        for b in layer:
+                            if 2 * w == n + 1 and b < a:
+                                continue
+                            if a[0] + b[0] <= ctx.cols or a.count(0) + b.count(0) >= ctx.rows:
+                                continue
+                            md = full in (a, b)
+                            c = lr_coefficient(a, b, nu)
+                            assert (c == 0) if md else (c >= 1), (ctx, a, b, c)
+                            assert _lr_vanishes(ctx, a, b) is _lr_vanishes(ctx, b, a) is md
+                            checked += 1
+        assert checked == 1813
+
+    def test_edge_boxes_vanish_at_weight_n_plus_1(self):
+        # with one row or one column every pair of weight n+1 vanishes, so the
+        # hook witness, whose nu needs two of each, must not answer there
+        for n in range(1, 13):
+            for k in {0, n - 1}:
+                ctx = GrassmannContext(k, n)
+                pairs = 0
+                for w in range((n + 1) // 2 + 1):
+                    for a in box_layer(ctx, w):
+                        for b in box_layer(ctx, n + 1 - w):
+                            assert _lr_vanishes(ctx, a, b) is True, (ctx, a, b)
+                            assert _lr_vanishes(ctx, b, a) is True, (ctx, a, b)
+                            assert pair_vanishes(ctx, a, b), (ctx, a, b)
+                            pairs += 1
+                assert pairs > 0, ctx
 
     def test_tableau_route_never_calls_the_containment_predicate(self, monkeypatch):
         import schubcalc.chow as chow

@@ -209,24 +209,38 @@ class TestVerifyThmMd:
         with pytest.raises(ValueError):
             verify_thm_md(GrassmannContext(3, 4))
 
-    @pytest.mark.parametrize("k,n,walked", [(2, 6, 6), (3, 8, 10), (9, 20, 55)])
-    def test_walks_only_the_hook_pairs(self, monkeypatch, k, n, walked):
+    @pytest.mark.parametrize("k,n,hooks", [(2, 6, 6), (3, 8, 10), (9, 20, 55)])
+    def test_walks_only_the_hook_pairs(self, monkeypatch, k, n, hooks):
+        # the shell pairs that fit neither the rows-added nor the rows-merged
+        # tableau are ``hooks`` hook pairs of weight n+1; the tableau of shape
+        # (n-k, 2, 1^(k-1)) answers all of them but Theorem md's own pair,
+        # which is the one pair walked
         import schubcalc.chow as chow
+        import schubcalc.search as search
 
-        pairs = []
-        real_walk = chow._lr_walk
+        ctx = GrassmannContext(k, n)
+        asked, walked = [], []
+        real_vanishes, real_walk = search._lr_vanishes, chow._lr_walk
+
+        def recording_vanishes(ctx, a, b):
+            if a[0] + b[0] > ctx.cols and a.count(0) + b.count(0) < ctx.rows:
+                asked.append((a, b))
+            return real_vanishes(ctx, a, b)
 
         def counting_walk(lam, mu, outer):
-            pairs.append((lam, mu))
+            walked.append((lam, mu))
             return real_walk(lam, mu, outer)
 
+        monkeypatch.setattr(search, "_lr_vanishes", recording_vanishes)
         monkeypatch.setattr(chow, "_lr_walk", counting_walk)
-        assert verify_thm_md(GrassmannContext(k, n)).passed
-        assert len(pairs) == walked
-        for lam, mu in pairs:  # two hooks of total weight n+1
+        assert verify_thm_md(ctx).passed
+        assert len(asked) == hooks
+        assert len(walked) == 1
+        for lam, mu in asked + walked:  # two hooks of total weight n+1
             assert sum(lam) + sum(mu) == n + 1
             for p in (lam, mu):
                 assert sum(p) == p[0] + len(p) - p.count(0) - 1, p
+        assert tuple(sorted(walked[0])) == search._md_pair(ctx)
 
     def test_lr_route_fault_is_reported_as_mismatches_only(self, monkeypatch):
         import schubcalc.search as search
