@@ -42,6 +42,7 @@ use.
 from __future__ import annotations
 
 from operator import gt
+from types import MappingProxyType
 
 from schubcalc.core import (
     GrassmannContext,
@@ -60,19 +61,31 @@ class CycleClass:
 
     ``terms`` maps box partitions (codimension convention, fixed length
     k+1) to nonzero integer coefficients.  Mixed-degree classes are
-    representable; grading-sensitive operations reject them.
+    representable; grading-sensitive operations reject them.  A class is
+    immutable, so it keeps its hash and its checked terms: ``terms`` is a
+    read-only mapping, and setting or deleting an attribute raises
+    ``AttributeError``.
     """
 
     __slots__ = ("ctx", "terms")
 
     def __init__(self, ctx: GrassmannContext, terms) -> None:
-        self.ctx = ctx
         clean: dict[Partition, int] = {}
         terms = dict(terms)
         for part, c in zip(terms, _integers("cycle class with coefficients", terms.values())):
             if c != 0:
                 clean[check_partition(ctx, part)] = c
-        self.terms = clean
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "terms", MappingProxyType(clean))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"CycleClass is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"CycleClass is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return (CycleClass, (self.ctx, dict(self.terms)))
 
     def degree(self) -> int:
         """Common weight of all terms; rejects zero or mixed-degree classes."""

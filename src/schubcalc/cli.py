@@ -43,13 +43,9 @@ from schubcalc.search import (
 )
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # noqa: D102 - argparse hook
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _ints(text: str) -> tuple[int, ...]:
@@ -81,12 +77,14 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--partition", type=_ints,
                    help="partition in the dimension convention, trailing zeros optional")
     _add_common(p)
+    p.set_defaults(handler=_cmd_convert)
 
     p = sub.add_parser("render", help="ASCII Young diagram in the (k+1) x (n-k) box")
     _add_ctx(p)
     p.add_argument("--partition", type=_ints, required=True)
     p.add_argument("--overlay", type=_ints, default=None)
     _add_common(p)
+    p.set_defaults(handler=_cmd_render)
 
     p = sub.add_parser("product", help="Littlewood-Richardson expansion of sigma_a * sigma_b")
     _add_ctx(p)
@@ -94,6 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="partition in the codimension convention")
     p.add_argument("--b", type=_ints, required=True)
     _add_common(p)
+    p.set_defaults(handler=_cmd_product)
 
     p = sub.add_parser("vanishes", help="fast vanishing verdict for [X_I] * [X_J]")
     _add_ctx(p)
@@ -102,15 +101,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cross-validate", action="store_true",
                    help="also look for one LR tableau inside the box and compare")
     _add_common(p)
+    p.set_defaults(handler=_cmd_vanishes)
 
     p = sub.add_parser("mdpairs", help="full md-pair search report for G(k, n)")
     _add_ctx(p)
     p.add_argument("--cross-validate", action="store_true")
     _add_common(p)
+    p.set_defaults(handler=_cmd_mdpairs)
 
     p = sub.add_parser("egd", help="effective good divisibility of G(k, n)")
     _add_ctx(p)
     _add_common(p)
+    p.set_defaults(handler=_cmd_egd)
 
     p = sub.add_parser("verify", help="mechanically verify a claim, exit 1 on counterexample")
     p.add_argument("claim", choices=("thm-md", "prop-comp", "egd-sweep"))
@@ -119,12 +121,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=None,
                    help="sweep bound when --k/--n are omitted (default 10)")
     _add_common(p)
+    p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("classify", help="classify morphisms G(l, n) -> G(k, n)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--l", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
     _add_common(p)
+    p.set_defaults(handler=_cmd_classify)
 
     return parser
 
@@ -308,35 +312,18 @@ def _cmd_classify(args):
     return table_text(table), payload, 0
 
 
-_HANDLERS = {
-    "convert": _cmd_convert,
-    "render": _cmd_render,
-    "product": _cmd_product,
-    "vanishes": _cmd_vanishes,
-    "mdpairs": _cmd_mdpairs,
-    "egd": _cmd_egd,
-    "verify": _cmd_verify,
-    "classify": _cmd_classify,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except SystemExit as err:  # --help
-        return 0 if err.code in (0, None) else int(err.code)
-    try:
-        text, payload, code = _HANDLERS[args.command](args)
-    except ValueError as err:
+        args = build_parser().parse_args(argv)
+        text, payload, code = args.handler(args)
+    except ValueError as err:  # a usage error, from argparse or from a handler
         print(f"error: {err}", file=sys.stderr)
         return 2
     except RuntimeError as err:  # cross-validation found the two routes disagreeing
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except SystemExit as err:  # --help
+        return 0 if err.code in (0, None) else int(err.code)
     if args.output or args.format == "json":  # the JSON twin, built only when it is used
         twin = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.output:

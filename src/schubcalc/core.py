@@ -344,16 +344,9 @@ def render_diagram(ctx: GrassmannContext, parts, overlay=None) -> str:
     """
     _check_render_size(ctx)
     p = check_partition(ctx, parts)
-    o = check_partition(ctx, overlay) if overlay is not None else None
-    lines = []
-    for r in range(ctx.rows):
-        cells = []
-        for c in range(ctx.cols):
-            if o is not None and c < o[r]:
-                cells.append(OVERLAY)
-            elif c < p[r]:
-                cells.append(FILLED)
-            else:
-                cells.append(EMPTY)
-        lines.append(" ".join(cells))
-    return "".join(line + "\n" for line in lines)
+    o = check_partition(ctx, overlay) if overlay is not None else (0,) * ctx.rows
+    return "".join(
+        " ".join([OVERLAY] * v + [FILLED] * max(u - v, 0) + [EMPTY] * (ctx.cols - max(u, v)))
+        + "\n"
+        for u, v in zip(p, o)
+    )

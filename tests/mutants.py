@@ -71,6 +71,18 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "LR walk: yields no chain at all (verify_thm_md cannot see it)",
+        CHOW,
+        "            yield chain",
+        "            yield from ()",
+        (  # fast tests only: every nonzero pair a test walks is then exhausted
+            CHOW_TESTS + "TestMultiply::test_pieri_in_small_grassmannian",
+            CHOW_TESTS + "TestLrCoefficient::test_pieri_square",
+            CHOW_TESTS + "TestLrVanishing::test_matches_product_and_bruhat_test_through_n7",
+            CHOW_TESTS + "TestPoincarePairing::test_dual_pairs",
+        ),
+    ),
+    Mutant(
         "_lr_vanishes: outer one column too wide",
         CHOW,
         "return next(_lr_walk(lam, mu, (ctx.cols,) * ctx.rows), None) is None",
@@ -104,6 +116,7 @@ MUTANTS = (
         (
             CHOW_TESTS + "TestLrVanishing::test_matches_product_and_bruhat_test_through_n7",
             CHOW_TESTS + "TestLrVanishing::test_edge_boxes_vanish_at_weight_n_plus_1",
+            PROPS + "test_lr_vanishing_matches_product_and_bruhat_test",
         ),
     ),
     Mutant(

@@ -1,5 +1,7 @@
 """Chow ring products, vanishing tests and the Poincare pairing."""
 
+import copy
+import pickle
 import random
 from itertools import combinations_with_replacement
 from operator import add
@@ -89,6 +91,35 @@ class TestCycleClass:
         assert format_class(x) == "σ(2) + 2*σ(1,1)"
         assert format_class(fundamental_class(C13)) == "σ(0)"
         assert format_class(CycleClass(C13, {})) == "0"
+
+    def test_item_and_attribute_assignment_raise(self):
+        x = schubert_class(C13, (1, 0))
+        with pytest.raises(TypeError):
+            x.terms[(1, 0)] = 7
+        with pytest.raises(TypeError):
+            x.terms[(9, 9)] = 1  # outside the 2x2 box
+        for name, value in (("ctx", GrassmannContext(2, 5)), ("terms", {(9, 9): 1}), ("extra", 1)):
+            with pytest.raises(AttributeError):
+                setattr(x, name, value)
+        with pytest.raises(AttributeError):
+            del x.ctx
+        assert x.ctx == C13 and x.terms == {(1, 0): 1}
+
+    def test_hash_is_stable(self):
+        x = schubert_class(C13, (1, 0))
+        seen, before = {x}, hash(x)
+        with pytest.raises(TypeError):
+            x.terms[(1, 0)] = 7
+        assert hash(x) == before and x in seen
+        assert hash(CycleClass(C13, {(1, 0): 1})) == before
+
+    def test_pickle_and_copy_round_trip(self):
+        x = CycleClass(C26, {(2, 0, 0): 3, (1, 1, 0): -1})
+        for y in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+            assert y == x and hash(y) == hash(x)
+            assert format_class(y) == format_class(x)
+            with pytest.raises(TypeError):
+                y.terms[(2, 0, 0)] = 1
 
 
 class TestLrCoefficient:

@@ -343,6 +343,9 @@ class TestRender:
     def test_overlay(self):
         out = render_diagram(C26, (4, 4, 0), overlay=(1, 1, 1))
         assert out == "* # # #\n* # # #\n* . . .\n"
+        # an overlay longer than a nonzero row covers it and runs on into the empty cells
+        out = render_diagram(C26, (2, 2, 0), overlay=(3, 1, 0))
+        assert out == "* * * .\n* # . .\n. . . .\n"
 
     def test_no_trailing_whitespace(self):
         for parts in box_partitions(C26):

@@ -31,8 +31,11 @@ from schubcalc.chow import _lr_vanishes
 
 @st.composite
 def contexts(draw):
+    """G(k, n) with 5 <= n <= 12; on one draw in four, an edge box: k = 0 or k = n-1."""
     n = draw(st.integers(5, 12))
-    return GrassmannContext(draw(st.integers(0, n - 1)), n)
+    edge = draw(st.integers(0, 3)) == 0
+    k = draw(st.sampled_from((0, n - 1)) if edge else st.integers(0, n - 1))
+    return GrassmannContext(k, n)
 
 
 def partitions_inside(outer):
@@ -44,16 +47,23 @@ def partitions_inside(outer):
 
 @st.composite
 def basis_pairs(draw):
-    """A context and two box partitions; on a drawn flag, b fits inside dual(a).
+    """A context and two box partitions; on drawn flags, b fits inside dual(a) or |a| + |b| = n+1.
 
-    Those pairs have a nonzero product, which a uniform draw at n > 8
-    rarely gives: most uniform pairs there exceed the top degree.
+    Pairs with b inside dual(a) have a nonzero product; pairs of weight
+    n+1, drawn whenever such a b fits, are where Theorem md's vanishing
+    pair lies and where ``_lr_vanishes`` answers without a walk, and in
+    an edge box they all vanish.  A uniform draw at n > 8 rarely gives
+    either: most uniform pairs there exceed the top degree.
     """
     ctx = draw(contexts())
     box = (ctx.cols,) * ctx.rows
     a = draw(partitions_inside(box))
     if draw(st.booleans()):
         box = tuple(ctx.cols - x for x in reversed(a))
+    elif draw(st.booleans()):
+        layer = box_layer(ctx, ctx.n + 1 - sum(a))  # empty when no such b fits
+        if layer:
+            return ctx, a, draw(st.sampled_from(layer))
     return ctx, a, draw(partitions_inside(box))
 
 
