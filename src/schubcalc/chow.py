@@ -52,6 +52,7 @@ from schubcalc.core import (
     _reduced,
     bruhat_leq,
     check_partition,
+    dual_partition,
     dual_symbol,
 )
 
@@ -337,9 +338,7 @@ def pair_vanishes(ctx: GrassmannContext, a, b) -> bool:
     ``b``, i.e. ``a_j + b_{k+2-j} <= n-k`` for every j.  O(k), no
     tableaux.
     """
-    a = check_partition(ctx, a)
-    b = check_partition(ctx, b)
-    return _not_contained(a, tuple([ctx.cols - x for x in reversed(b)]))
+    return _not_contained(check_partition(ctx, a), dual_partition(ctx, b))
 
 
 def product_vanishes_fast(ctx: GrassmannContext, symbol_i, symbol_j) -> bool:

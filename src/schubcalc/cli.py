@@ -52,7 +52,8 @@ def _ints(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(x) for x in text.split(","))
     except ValueError:
-        raise ValueError(f"expected comma-separated integers, got {text!r}") from None
+        msg = f"expected comma-separated integers, got {text!r}"
+        raise argparse.ArgumentTypeError(msg) from None
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -76,14 +77,12 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--symbol", type=_ints, help="Schubert symbol, 1-based, comma-separated")
     g.add_argument("--partition", type=_ints,
                    help="partition in the dimension convention, trailing zeros optional")
-    _add_common(p)
     p.set_defaults(handler=_cmd_convert)
 
     p = sub.add_parser("render", help="ASCII Young diagram in the (k+1) x (n-k) box")
     _add_ctx(p)
     p.add_argument("--partition", type=_ints, required=True)
     p.add_argument("--overlay", type=_ints, default=None)
-    _add_common(p)
     p.set_defaults(handler=_cmd_render)
 
     p = sub.add_parser("product", help="Littlewood-Richardson expansion of sigma_a * sigma_b")
@@ -91,7 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=_ints, required=True,
                    help="partition in the codimension convention")
     p.add_argument("--b", type=_ints, required=True)
-    _add_common(p)
     p.set_defaults(handler=_cmd_product)
 
     p = sub.add_parser("vanishes", help="fast vanishing verdict for [X_I] * [X_J]")
@@ -100,18 +98,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j", type=_ints, required=True, help="Schubert symbol J")
     p.add_argument("--cross-validate", action="store_true",
                    help="also look for one LR tableau inside the box and compare")
-    _add_common(p)
     p.set_defaults(handler=_cmd_vanishes)
 
     p = sub.add_parser("mdpairs", help="full md-pair search report for G(k, n)")
     _add_ctx(p)
     p.add_argument("--cross-validate", action="store_true")
-    _add_common(p)
     p.set_defaults(handler=_cmd_mdpairs)
 
     p = sub.add_parser("egd", help="effective good divisibility of G(k, n)")
     _add_ctx(p)
-    _add_common(p)
     p.set_defaults(handler=_cmd_egd)
 
     p = sub.add_parser("verify", help="mechanically verify a claim, exit 1 on counterexample")
@@ -120,16 +115,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--max-n", type=int, default=None,
                    help="sweep bound when --k/--n are omitted (default 10)")
-    _add_common(p)
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("classify", help="classify morphisms G(l, n) -> G(k, n)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--l", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
-    _add_common(p)
     p.set_defaults(handler=_cmd_classify)
 
+    for p in sub.choices.values():  # last, so every --help lists them last
+        _add_common(p)
     return parser
 
 
@@ -322,8 +317,8 @@ def main(argv=None) -> int:
     except RuntimeError as err:  # cross-validation found the two routes disagreeing
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except SystemExit as err:  # --help
-        return 0 if err.code in (0, None) else int(err.code)
+    except SystemExit:  # --help; every parse error is a ValueError from _Parser.error
+        return 0
     if args.output or args.format == "json":  # the JSON twin, built only when it is used
         twin = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.output:

@@ -117,7 +117,7 @@ def check_partition(ctx: GrassmannContext, parts) -> Partition:
         )
     if any(a < b for a, b in zip(p, p[1:])):
         raise ValueError(f"partition {p} is not weakly decreasing")
-    if p and (p[0] > ctx.cols or p[-1] < 0):
+    if p[0] > ctx.cols or p[-1] < 0:
         raise ValueError(f"partition {p} does not fit the {ctx.rows}x{ctx.cols} box")
     return p
 
@@ -133,7 +133,7 @@ def _reduced(parts) -> tuple[int, ...]:
 def normalize_partition(ctx: GrassmannContext, parts) -> Partition:
     """Pad or strip trailing zeros to length k+1, then validate."""
     p = list(_integers("partition", parts))
-    while len(p) > ctx.rows and p and p[-1] == 0:
+    while len(p) > ctx.rows and p[-1] == 0:
         p.pop()
     p.extend([0] * (ctx.rows - len(p)))
     return check_partition(ctx, p)
@@ -184,7 +184,7 @@ def dual_partition(ctx: GrassmannContext, parts) -> Partition:
     partition and its dual always add up to dim G(k, n).
     """
     p = check_partition(ctx, parts)
-    return tuple(ctx.cols - x for x in reversed(p))
+    return tuple([ctx.cols - x for x in reversed(p)])
 
 
 def partition_contains(outer, inner) -> bool:
@@ -239,8 +239,8 @@ def special_symbols(ctx: GrassmannContext) -> tuple[SchubertSymbol, SchubertSymb
 def _box_layers(ctx: GrassmannContext, lo: int, hi: int) -> list[tuple[Partition, ...]]:
     """The box partitions of each weight lo, ..., hi, one ascending tuple per weight.
 
-    Entry ``i`` is the layer of weight ``lo + i``; weights outside
-    [0, dim] have empty layers.  One depth-first walk from a stack, not
+    Entry ``i`` is the layer of weight ``lo + i``, for ``0 <= lo <= hi``;
+    weights over dim have empty layers.  One depth-first walk from a stack, not
     by recursion, builds them all: an entry is (parts, cap, weight so
     far), and the next part runs from the smallest value with which the
     remaining rows can still reach ``lo`` up to the largest the row
@@ -252,7 +252,7 @@ def _box_layers(ctx: GrassmannContext, lo: int, hi: int) -> list[tuple[Partition
     """
     layers = [[] for _ in range(hi - lo + 1)]
     top = min(hi, ctx.dim)
-    rows, stack = ctx.rows, [((), ctx.cols, 0)] if max(lo, 0) <= top else []
+    rows, stack = ctx.rows, [((), ctx.cols, 0)] if lo <= top else []
     while stack:
         parts, cap, w = stack.pop()
         r = rows - len(parts)

@@ -103,18 +103,12 @@ def _kostka_row(shape: tuple[int, ...], nvars: int) -> tuple:
         new_states: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
         for eta, wdict in states.items():
             ranges = []
-            feasible = True
             for i in range(nrows):
                 lo = eta[i]
                 if i + rem < nrows and shape[i + rem] > lo:
                     lo = shape[i + rem]  # must stay reachable in rem more strips
                 hi = shape[i] if i == 0 else min(shape[i], eta[i - 1])
-                if lo > hi:
-                    feasible = False
-                    break
-                ranges.append(range(lo, hi + 1))
-            if not feasible:
-                continue
+                ranges.append(range(lo, hi + 1))  # empty when lo > hi: no tau below
             base = sum(eta)
             for tau in _iproduct(*ranges):
                 size = sum(tau)

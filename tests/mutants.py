@@ -168,6 +168,25 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "CycleClass.__add__: keeps only the second coefficient of a shared term",
+        CHOW,
+        "acc[p] = acc.get(p, 0) + c",
+        "acc[p] = c",
+        (
+            CHOW_TESTS + "TestCycleClass::test_sum_adds_the_coefficients_of_shared_terms",
+            CHOW_TESTS + "TestCycleClass::test_cancelling_sum_is_the_zero_class",
+        ),
+    ),
+    Mutant(
+        "verify_thm_md: never reports a missing expected pair",
+        "src/schubcalc/search.py",
+        "if expected not in zeros:",
+        "if False:",
+        (
+            SEARCH_TESTS + "TestVerifyThmMd::test_missing_expected_pair_is_reported",
+        ),
+    ),
+    Mutant(
         "dual_symbol: n+1-i instead of n+2-i",
         "src/schubcalc/core.py",
         "return tuple(ctx.n + 2 - i for i in reversed(s))",

@@ -25,6 +25,7 @@ from schubcalc import (
     schubert_class,
     special_symbols,
     symbol_to_dim_partition,
+    zero_class,
 )
 from schubcalc.chow import _lr_vanishes, _lr_walk
 
@@ -74,6 +75,31 @@ class TestCycleClass:
             with pytest.raises(TypeError):
                 op()
         assert x.__mul__(2) is NotImplemented and x.__add__(0) is NotImplemented
+
+    def test_sum_adds_the_coefficients_of_shared_terms(self):
+        x = CycleClass(C26, {(1, 0, 0): 1, (2, 0, 0): 2})
+        y = CycleClass(C26, {(2, 0, 0): 3, (1, 1, 0): 1})
+        assert (x + y).terms == {(1, 0, 0): 1, (2, 0, 0): 5, (1, 1, 0): 1}
+
+    def test_cancelling_sum_is_the_zero_class(self):
+        x = CycleClass(C26, {(1, 0, 0): 2, (2, 0, 0): -1})
+        y = CycleClass(C26, {(1, 0, 0): -2, (2, 0, 0): 1})
+        total = x + y
+        assert not total
+        assert total == zero_class(C26)
+
+    def test_sum_across_contexts_rejected(self):
+        with pytest.raises(ValueError) as err:
+            sigma(C13, 1, 0) + sigma(C26, 1, 0, 0)
+        assert str(err.value) == "context mismatch: G(1,3) vs G(2,6)"
+
+    def test_zero_class(self):
+        zero = zero_class(C26)
+        assert zero.ctx == C26 and zero.terms == {}
+        assert not zero and zero == CycleClass(C26, {})
+        assert format_class(zero) == "0"
+        x = sigma(C26, 1, 0, 0)
+        assert x + zero == x and multiply(x, zero) == zero
 
     def test_json_sorted(self):
         x = CycleClass(C13, {(2, 0): 1, (1, 1): 2})
@@ -141,6 +167,11 @@ class TestLrCoefficient:
     def test_non_containment_is_zero(self):
         assert lr_coefficient((3,), (1,), (2, 2)) == 0
 
+    def test_non_partition_rejected(self):
+        with pytest.raises(ValueError) as err:
+            lr_coefficient((1, 2), (1,), (2, 2))
+        assert str(err.value) == "(1, 2) is not a partition"
+
     def test_trailing_zeros_ignored(self):
         assert lr_coefficient((1, 0, 0), (1, 0), (1, 1, 0)) == 1
         assert lr_coefficient((1,) + (0,) * 10**5, (1,), (1, 1)) == 1
@@ -161,6 +192,11 @@ class TestLrFillings:
         for row in filling:
             word.extend(reversed(row))
         return word
+
+    def test_weight_mismatch_yields_nothing(self):
+        from schubcalc import lr_fillings
+
+        assert list(lr_fillings((2,), (1,), (2, 2))) == []
 
     def test_fillings_are_lr_tableaux(self):
         import itertools
@@ -493,3 +529,8 @@ class TestPoincarePairing:
     def test_degree_mismatch_rejected(self):
         with pytest.raises(ValueError):
             poincare_pair(sigma(C26, 1, 0, 0), sigma(C26, 1, 0, 0))
+
+    def test_context_mismatch_rejected(self):
+        with pytest.raises(ValueError) as err:
+            poincare_pair(sigma(C13, 2, 2), sigma(C26, 0, 0, 0))
+        assert str(err.value) == "context mismatch: G(1,3) vs G(2,6)"

@@ -397,6 +397,12 @@ class TestVerifyCommand:
         assert err.startswith("error: G(12,37) has 10084016 basis pairs")
         assert str(search.MAX_SCAN_PAIRS) in err
 
+    def test_egd_sweep_with_a_single_context_rejected(self, capsys):
+        code, out, err = run(capsys, "verify", "egd-sweep", "--k", "1", "--n", "4")
+        assert code == 2
+        assert out == ""
+        assert err == "error: egd-sweep is a sweep; use --max-n, not --k/--n\n"
+
     def test_mixed_flags_rejected(self, capsys):
         code, _, err = run(capsys, "verify", "thm-md", "--k", "2")
         assert code == 2
@@ -492,6 +498,15 @@ class TestErrors:
         code, _, err = run(capsys, "render", "--k", "2", "--n", "6", "--partition", "3,x,3")
         assert code == 2
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("argv,err", [
+        (["vanishes", "--k", "1", "--n", "4", "--i", "1,x", "--j", "1,2"],
+         "error: argument --i: expected comma-separated integers, got '1,x'\n"),
+        (["render", "--k", "1", "--n", "3", "--partition", "a"],
+         "error: argument --partition: expected comma-separated integers, got 'a'\n"),
+    ])
+    def test_bad_list_argument_names_the_expected_form(self, capsys, argv, err):
+        assert run(capsys, *argv) == (2, "", err)
 
     def test_invalid_partition_for_context(self, capsys):
         code, _, err = run(capsys, "render", "--k", "2", "--n", "6", "--partition", "9,0,0")

@@ -208,6 +208,10 @@ class TestBruhat:
                 for b in syms:
                     assert bruhat_leq(ctx, a, b) == partition_contains(diags[b], diags[a])
 
+    def test_containment_of_a_longer_inner(self):
+        assert not partition_contains((2, 1), (1, 1, 1))
+        assert partition_contains((2, 1), (1, 1, 0, 0))
+
     def test_partial_order_laws(self):
         rng = random.Random(20260811)
         contexts = [c for c in small_contexts(8) if c.n >= 2]

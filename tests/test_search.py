@@ -119,6 +119,11 @@ class TestHasMdPairOfType:
         assert has_mdpair_of_type(C26, (4, 3))
         assert not has_mdpair_of_type(C26, (1, 2))  # 1+2 != egd+1
 
+    def test_type_of_three_entries_rejected(self):
+        with pytest.raises(ValueError) as err:
+            has_mdpair_of_type(C26, (1, 2, 4))
+        assert str(err.value) == "pair type must have two entries, got (1, 2, 4)"
+
 
 class TestSearchReport:
     def test_json_schema(self):
@@ -252,6 +257,24 @@ class TestVerifyThmMd:
         assert report.counterexamples
         assert {c["kind"] for c in report.counterexamples} == {"fast-vs-lr-mismatch"}
         assert len(report.counterexamples) == report.hypothesis_count - 1
+
+    def test_missing_expected_pair_is_reported(self, monkeypatch):
+        import schubcalc.search as search
+
+        scan, expected = search._scan, search._md_pair(C26)
+
+        def scan_without_the_md_pair(ctx, hi):
+            for a, b, vanishes in scan(ctx, hi):
+                yield a, b, vanishes and (a, b) != expected
+
+        monkeypatch.setattr(search, "_scan", scan_without_the_md_pair)
+        report = verify_thm_md(C26)
+        assert not report.passed
+        pair = {"a": list(expected[0]), "b": list(expected[1])}
+        assert report.counterexamples == (
+            {"kind": "fast-vs-lr-mismatch", **pair},
+            {"kind": "missing-expected-pair", **pair},
+        )
 
     def test_bruhat_fault_adds_the_unexpected_shell_zeros(self, monkeypatch):
         import schubcalc.search as search
