@@ -252,7 +252,7 @@ def _box_layers(ctx: GrassmannContext, lo: int, hi: int) -> list[tuple[Partition
     """
     layers = [[] for _ in range(hi - lo + 1)]
     top = min(hi, ctx.dim)
-    rows, stack = ctx.rows, [((), ctx.cols, 0)] if lo <= top else []
+    rows, stack = ctx.rows, [((), ctx.cols, 0)]
     while stack:
         parts, cap, w = stack.pop()
         r = rows - len(parts)
@@ -281,7 +281,7 @@ def box_layer(ctx: GrassmannContext, w: int) -> tuple[Partition, ...]:
     ``ValueError``.  The window [w, w] of ``_box_layers``; not memoized.
     """
     (w,) = _integers("weight", (w,))
-    if not 0 <= w <= ctx.dim:
+    if w < 0:
         return ()
     return _box_layers(ctx, w, w)[0]
 

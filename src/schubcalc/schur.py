@@ -65,10 +65,8 @@ def _monomials(shape: tuple[int, ...], nvars: int) -> int:
 
     That is the number of semistandard tableaux of shape ``shape`` with
     entries at most ``nvars``, by the hook-content formula; 0 when the
-    shape has more rows than variables.
+    shape has more rows than variables, whose cell (nvars+1, 1) has content -nvars.
     """
-    if len(shape) > nvars:
-        return 0
     heights = [0] * (shape[0] if shape else 0)  # the column lengths
     for part in shape:
         for j in range(part):
@@ -89,11 +87,10 @@ def _kostka_row(shape: tuple[int, ...], nvars: int) -> tuple:
     decreasing exponent vector of length ``nvars``.  Values placed in
     the tableau are the variable indices; variable v occupies a
     horizontal strip, so a chain grows one strip per variable, here
-    restricted to chains with nonincreasing strip sizes.
+    restricted to chains with nonincreasing strip sizes.  ``()`` for more
+    rows than variables, since strip v adds cells to rows 1..v only.
     """
     nrows = len(shape)
-    if nrows > nvars:
-        return ()
     total = sum(shape)
     states: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {
         (0,) * nrows: {(): 1}
@@ -104,11 +101,8 @@ def _kostka_row(shape: tuple[int, ...], nvars: int) -> tuple:
         for eta, wdict in states.items():
             ranges = []
             for i in range(nrows):
-                lo = eta[i]
-                if i + rem < nrows and shape[i + rem] > lo:
-                    lo = shape[i + rem]  # must stay reachable in rem more strips
                 hi = shape[i] if i == 0 else min(shape[i], eta[i - 1])
-                ranges.append(range(lo, hi + 1))  # empty when lo > hi: no tau below
+                ranges.append(range(eta[i], hi + 1))
             base = sum(eta)
             for tau in _iproduct(*ranges):
                 size = sum(tau)

@@ -187,6 +187,24 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "md_pairs: an empty shell is not reported",
+        "src/schubcalc/search.py",
+        "if not zeros:",
+        "if False:",
+        (
+            SEARCH_TESTS + "TestMdPairs::test_empty_shell_is_a_runtime_error",
+        ),
+    ),
+    Mutant(
+        "classify: a found type that neither identity explains is not reported",
+        "src/schubcalc/morphisms.py",
+        "if not identities:",
+        "if False:",
+        (
+            "tests/test_morphisms.py::TestClassify::test_search_contradicting_theory_is_a_runtime_error",
+        ),
+    ),
+    Mutant(
         "dual_symbol: n+1-i instead of n+2-i",
         "src/schubcalc/core.py",
         "return tuple(ctx.n + 2 - i for i in reversed(s))",
@@ -240,10 +258,10 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "_kostka_row: rejects nrows >= nvars instead of nrows > nvars",
+        "_kostka_row: one horizontal strip too few",
         SCHUR,
-        "if nrows > nvars:",
-        "if nrows >= nvars:",
+        "for v in range(1, nvars + 1):",
+        "for v in range(1, nvars):",
         (
             "tests/test_schur_oracle.py::test_drawn_shapes_match_naive_reference",
         ),

@@ -44,6 +44,20 @@ class TestClassify:
                 assert out.verdict == NONCONSTANT_IMPLIES_ISOMORPHISM
                 assert "l=k" in out.identity
 
+    def test_search_contradicting_theory_is_a_runtime_error(self, capsys, monkeypatch):
+        import schubcalc.cli as cli
+        import schubcalc.morphisms as morphisms
+
+        monkeypatch.setattr(morphisms, "has_mdpair_of_type", lambda ctx, pair_type: True)
+        with pytest.raises(RuntimeError) as err:
+            classify(MorphismQuery(1, 2, 5))
+        message = str(err.value)
+        assert message.startswith("md-pair search found type {3,3} in G(1,5)")
+        assert cli.main(["classify", "--n", "5", "--l", "1", "--k", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_invalid_query(self):
         with pytest.raises(ValueError):
             MorphismQuery(4, 1, 4)

@@ -111,6 +111,20 @@ class TestMdPairs:
                 t2 = {p.pair_type for p in md_pairs(GrassmannContext(n - k - 1, n))}
                 assert t1 == t2
 
+    def test_empty_shell_is_a_runtime_error(self, capsys, monkeypatch):
+        import schubcalc.cli as cli
+        import schubcalc.search as search
+
+        TestVerifyPropComp.bypass_shell_memo(monkeypatch, search)
+        monkeypatch.setattr(search, "_not_contained", lambda *args: False)
+        message = "no vanishing pair with codim sum <= 6 in G(2,5)"
+        with pytest.raises(RuntimeError, match=re.escape(message)):
+            md_pairs(GrassmannContext(2, 5))
+        assert cli.main(["egd", "--k", "2", "--n", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
 
 class TestHasMdPairOfType:
     def test_examples(self):
